@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -30,6 +31,20 @@ def test_experiment_matches_paper(experiment_id):
     assert result.rows, "an experiment must report at least one comparison"
     mismatches = [row.metric for row in result.rows if not row.matches]
     assert not mismatches, f"{experiment_id} mismatches: {mismatches}"
+
+
+@pytest.mark.parametrize(
+    "experiment_id, pattern, expected",
+    [
+        ("E5", r"max message size=(\d+)", ["3568", "561", "561", "27074"]),
+        ("E6", r"max sizes for T=1,2,4,8: (\[[\d, ]+\])", ["[6, 9, 15, 27]", "[4, 5, 7, 11]"]),
+    ],
+    ids=["E5", "E6"],
+)
+def test_measured_message_sizes_are_pinned(experiment_id, pattern, expected):
+    """E5 and E6 report exactly the message sizes of the plain tree walk."""
+    rows = run_experiment(experiment_id).rows
+    assert [size for row in rows for size in re.findall(pattern, row.measured)] == expected
 
 
 class TestReporting:

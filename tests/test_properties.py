@@ -6,6 +6,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.execution.trace import message_size
 from repro.graphs.generators import random_bounded_degree_graph
 from repro.graphs.graph import Graph
 from repro.graphs.ports import consistent_port_numbering, random_port_numbering
@@ -25,6 +26,7 @@ from repro.logic.syntax import (
     Top,
     modal_depth,
 )
+from repro.machines.algorithm import BroadcastAlgorithm, Output, VectorAlgorithm
 from repro.machines.models import ReceiveMode
 from repro.machines.multiset import FrozenMultiset
 from repro.modal.encoding import KripkeVariant, kripke_encoding
@@ -252,3 +254,141 @@ def test_theorem4_simulation_is_exact_on_random_graphs(graph_seed, numbering_see
     inner = GatherDegreesAlgorithm()
     simulation = simulate_multiset_with_set(inner, graph.max_degree())
     assert run(simulation, graph, numbering).outputs == run(inner, graph, numbering).outputs
+
+
+# --------------------------------------------------------------------------- #
+# Message accounting: the memoised walk equals the tree walk
+# --------------------------------------------------------------------------- #
+
+
+def _tree_walk_size(message) -> int:
+    """The plain recursive tree count, the oracle for ``message_size``."""
+    if isinstance(message, (tuple, list, set, frozenset)):
+        return 1 + sum(_tree_walk_size(item) for item in message)
+    if isinstance(message, FrozenMultiset):
+        return 1 + sum(_tree_walk_size(item) * count for item, count in message.counts().items())
+    if isinstance(message, dict):
+        return 1 + sum(_tree_walk_size(key) + _tree_walk_size(val) for key, val in message.items())
+    return 1
+
+
+@st.composite
+def shared_messages(draw):
+    """Nested messages whose containers reuse earlier objects in several places.
+
+    Containers are built bottom-up, each from parts drawn out of everything
+    built before it; the message is the tuple of all of them.  Only hashable
+    parts go into frozensets, multisets and dict keys.
+    """
+    built = draw(st.lists(st.sampled_from(["a", "b", 1, 2, None]), min_size=1, max_size=3))
+    hashable = list(built)
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from([tuple, list, frozenset, FrozenMultiset, dict]))
+        if kind is dict:
+            keys = draw(st.lists(st.sampled_from(hashable), max_size=2))
+            node = {key: draw(st.sampled_from(built)) for key in keys}
+        else:
+            parts = hashable if kind in (frozenset, FrozenMultiset) else built
+            node = kind(draw(st.lists(st.sampled_from(parts), max_size=3)))
+        built.append(node)
+        try:
+            hash(node)
+        except TypeError:  # a list or a dict, or a tuple holding one
+            continue
+        hashable.append(node)
+    return tuple(built)
+
+
+@given(shared_messages())
+@settings(max_examples=60, deadline=None)
+def test_message_size_equals_the_tree_walk(message):
+    assert message_size(message) == _tree_walk_size(message)
+
+
+def _assert_trace_accounting_matches_the_tree_walk(trace) -> None:
+    sizes = [
+        _tree_walk_size(message)
+        for per_round in trace.received_messages
+        for message in per_round.values()
+    ]
+    assert sizes, "the trace recorded no messages"
+    assert trace.max_message_size() == max(sizes)
+    assert trace.total_message_volume() == sum(sizes)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_theorem4_trace_accounting_equals_the_tree_walk(numbering_seed):
+    from repro.algorithms.basic import GatherDegreesAlgorithm
+    from repro.core.simulations import simulate_multiset_with_set
+    from repro.execution.runner import run
+    from repro.graphs.generators import star_graph
+
+    graph = star_graph(3)
+    numbering = random_port_numbering(graph, random.Random(numbering_seed))
+    simulation = simulate_multiset_with_set(GatherDegreesAlgorithm(), 3)
+    _assert_trace_accounting_matches_the_tree_walk(
+        run(simulation, graph, numbering, record_trace=True).trace
+    )
+
+
+class _VectorRounds(VectorAlgorithm):
+    """Sends (degree, port) for ``rounds`` rounds, then outputs the last vector."""
+
+    def __init__(self, rounds: int) -> None:
+        self._rounds = rounds
+
+    def initial_state(self, degree):
+        return (0, degree)
+
+    def send(self, state, port):
+        return (state[1], port)
+
+    def transition(self, state, received):
+        elapsed = state[0] + 1
+        return Output(tuple(received)) if elapsed >= self._rounds else (elapsed, state[1])
+
+
+class _BroadcastRounds(BroadcastAlgorithm):
+    """Broadcasts its degree for ``rounds`` rounds, then outputs the last vector."""
+
+    def __init__(self, rounds: int) -> None:
+        self._rounds = rounds
+
+    def initial_state(self, degree):
+        return (0, degree)
+
+    def broadcast(self, state):
+        return state[1]
+
+    def transition(self, state, received):
+        elapsed = state[0] + 1
+        return Output(tuple(received)) if elapsed >= self._rounds else (elapsed, state[1])
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_history_simulation_trace_accounting_equals_the_tree_walk(
+    graph_seed, numbering_seed, rounds, vector
+):
+    """Theorem 8 (Vector -> Multiset) and Theorem 9 (Broadcast -> MB) traces."""
+    from repro.core.simulations import (
+        simulate_broadcast_with_multiset_broadcast,
+        simulate_vector_with_multiset,
+    )
+    from repro.execution.runner import run
+
+    graph = random_bounded_degree_graph(6, 3, seed=graph_seed)
+    numbering = random_port_numbering(graph, random.Random(numbering_seed))
+    if vector:
+        simulation = simulate_vector_with_multiset(_VectorRounds(rounds))
+    else:
+        simulation = simulate_broadcast_with_multiset_broadcast(_BroadcastRounds(rounds))
+    _assert_trace_accounting_matches_the_tree_walk(
+        run(simulation, graph, numbering, record_trace=True).trace
+    )
