@@ -55,9 +55,6 @@ _FILE_SIDES = {
     # bench_store pairs the sqlite backend against the loose-object json
     # layout on identical record sets.
     "bench_store": ({"sqlite"}, {"json"}),
-    # bench_plan pairs warm plan-cache tables against cold rebuilds, plus
-    # the one-invocation padded arena against grouped per-family batches.
-    "bench_plan": ({"warm", "arena"}, {"cold", "grouped"}),
 }
 
 #: The modules the CI smoke path exercises (``--quick``): one engine-bound,
@@ -68,7 +65,6 @@ QUICK_MODULES = (
     "bench_correspondence",
     "bench_execution",
     "bench_logic",
-    "bench_plan",
     "bench_store",
     "bench_sweep",
     "bench_vector",
@@ -270,28 +266,6 @@ def derive_summary(benches: dict, pairs: list[dict]) -> dict:
         summary["min_store_speedup"] = min(store_speedups)
         summary["max_store_speedup"] = max(store_speedups)
         summary["geomean_store_speedup"] = round(_geomean(store_speedups), 2)
-    # The kernel plan cache: warm (store-loaded / shm-mapped) tables vs
-    # cold rebuilds, and the padded mega-batch arena vs grouped per-family
-    # vector invocations.  CI floors the warm-only geomean at 1.5x.
-    plan_pairs = [pair for pair in pairs if pair["file"] == "bench_plan"]
-    if plan_pairs:
-        plan_speedups = [pair["speedup"] for pair in plan_pairs]
-        summary["plan_pairs"] = plan_pairs
-        summary["min_plan_speedup"] = min(plan_speedups)
-        summary["max_plan_speedup"] = max(plan_speedups)
-        summary["geomean_plan_speedup"] = round(_geomean(plan_speedups), 2)
-        warm_plan = [
-            pair for pair in plan_pairs if "arena" not in pair["benchmark"]
-        ]
-        if warm_plan:
-            summary["geomean_warm_plan_speedup"] = round(
-                _geomean([pair["speedup"] for pair in warm_plan]), 2
-            )
-        arena_plan = [pair for pair in plan_pairs if "arena" in pair["benchmark"]]
-        if arena_plan:
-            summary["geomean_arena_batch_speedup"] = round(
-                _geomean([pair["speedup"] for pair in arena_plan]), 2
-            )
     # The Theorem 2 pipeline: compiled vs seed round trips, plus the
     # DAG-vs-tree compression of the hash-consed Table 4/5 formulas.
     correspondence_pairs = [
@@ -459,66 +433,6 @@ def collect_metrics_probe(smoke: bool) -> dict:
     }
 
 
-def collect_plan_cache_probe(smoke: bool) -> dict:
-    """Run a small campaign twice against one store with telemetry enabled
-    and return the ``plan.cache.*`` counter deltas of each run.
-
-    The first run starts from an empty store (every plan lookup is a miss,
-    every plan is persisted); the second re-executes the same scenarios
-    (``resume=False``) and must serve every plan out of the artifact store.
-    A warm run with zero hits -- or a cold run with zero persists -- means
-    the plan cache is broken, so the probe fails the whole bench run.
-    """
-    import shutil
-    import tempfile
-
-    for entry in (str(REPO_ROOT / "src"),):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-    from repro import obs
-    from repro.campaign import CampaignSpec, GraphGrid, ResultStore, run_campaign
-
-    sizes = [4, 5] if smoke else [4, 5, 6]
-    spec = CampaignSpec(
-        name="plan-cache-probe",
-        kind="execution",
-        graphs=[GraphGrid.of("cycle", {"n": sizes}), GraphGrid.of("path", {"n": [3, 5]})],
-        algorithms=["degree", "gather-degrees"],
-        engines=["sweep"],
-        max_rounds=64,
-    )
-    root = tempfile.mkdtemp(prefix="bench-plan-probe-")
-
-    def plan_counters(counters: dict) -> dict:
-        return {
-            key: int(value)
-            for key, value in counters.items()
-            if key.startswith("plan.cache.")
-        }
-
-    obs.reset()
-    obs.enable()
-    try:
-        run_campaign(spec, ResultStore(root))
-        cold = obs.snapshot().get("counters", {})
-        run_campaign(spec, ResultStore(root), resume=False)
-        total = obs.snapshot().get("counters", {})
-    finally:
-        obs.disable()
-        obs.reset()
-        shutil.rmtree(root, ignore_errors=True)
-    cold_counters = plan_counters(cold)
-    warm_counters = {
-        key: int(total.get(key, 0)) - cold_counters.get(key, 0)
-        for key in plan_counters(total)
-    }
-    if not cold_counters.get("plan.cache.persist"):
-        raise SystemExit("plan-cache probe: cold campaign persisted no plans")
-    if not warm_counters.get("plan.cache.hit"):
-        raise SystemExit("plan-cache probe: warm campaign had no plan hits")
-    return {"cold_run": cold_counters, "warm_run": warm_counters}
-
-
 def verify_dedup_metrics(probe_dedup: list[dict], summary_dedup: list[dict]) -> None:
     """The counter-derived dedup figures must match the SweepStats-derived
     ``summary["sweep_dedup"]`` figures within rounding (both sides round the
@@ -614,18 +528,6 @@ def main() -> None:
         print(
             "[run_all] metrics probe: counters match sweep_dedup on "
             f"{len(probe['sweep_dedup'])} cases",
-            flush=True,
-        )
-    # The plan-cache counter probe rides along whenever bench_plan ran: a
-    # cold-then-warm double campaign whose plan.cache.{miss,persist,hit}
-    # deltas land in the report next to the timing pairs.
-    if "bench_plan" in benches:
-        print("[run_all] plan-cache probe (double campaign) ...", flush=True)
-        plan_probe = collect_plan_cache_probe(smoke=args.smoke)
-        report.setdefault("metrics", {})["plan_cache"] = plan_probe
-        print(
-            "[run_all] plan-cache probe: "
-            f"cold {plan_probe['cold_run']} warm {plan_probe['warm_run']}",
             flush=True,
         )
     with open(out_path, "w") as fh:

@@ -4,13 +4,13 @@ Usage::
 
     python -m repro.campaign list    [--store URI]
     python -m repro.campaign run     <name | spec.json> [--store URI] [--workers N] [--json]
-                                     [--metrics] [--trace PATH] [--no-plan-cache]
+                                     [--metrics] [--trace PATH]
     python -m repro.campaign resume  <name>             [--store URI] [--workers N] [--json]
-                                     [--metrics] [--trace PATH] [--no-plan-cache]
+                                     [--metrics] [--trace PATH]
     python -m repro.campaign report  <name>             [--store URI] [--json]
     python -m repro.campaign migrate <source-uri> <dest-uri> [--json]
     python -m repro.campaign serve   [--store URI] [--workers N] [--port P] [--port-file F]
-                                     [--no-metrics] [--trace PATH] [--no-plan-cache]
+                                     [--no-metrics] [--trace PATH]
     python -m repro.campaign submit  <name | spec.json> --port P [--wait] [--json]
     python -m repro.campaign status  [job] --port P [--json]
     python -m repro.campaign cancel  <job> --port P [--json]
@@ -166,14 +166,6 @@ def _emit(payload: dict, as_json: bool) -> None:
     print(line)
 
 
-def _add_plan_cache_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-plan-cache",
-        action="store_true",
-        help="do not load, share or persist kernel plans (cold tables every run)",
-    )
-
-
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--metrics",
@@ -225,7 +217,6 @@ def main(argv: list[str]) -> int:
         "--no-resume", action="store_true", help="re-evaluate and replace stored records"
     )
     run_parser.add_argument("--json", action="store_true", help="machine-readable report")
-    _add_plan_cache_arg(run_parser)
     _add_obs_args(run_parser)
 
     resume_parser = commands.add_parser(
@@ -234,7 +225,6 @@ def main(argv: list[str]) -> int:
     resume_parser.add_argument("campaign", help="built-in name or stored campaign name")
     resume_parser.add_argument("--workers", type=int, default=None)
     resume_parser.add_argument("--json", action="store_true")
-    _add_plan_cache_arg(resume_parser)
     _add_obs_args(resume_parser)
 
     report_parser = commands.add_parser("report", help="aggregate a stored campaign")
@@ -267,7 +257,6 @@ def main(argv: list[str]) -> int:
     serve_parser.add_argument(
         "--trace", default=None, metavar="PATH", help="write a JSON-lines span trace"
     )
-    _add_plan_cache_arg(serve_parser)
 
     submit_parser = commands.add_parser("submit", help="submit a campaign to the service")
     submit_parser.add_argument("campaign", help="built-in name or path to a spec JSON file")
@@ -324,9 +313,7 @@ def main(argv: list[str]) -> int:
             obs.enable()
         if args.trace:
             obs.configure_tracing(path=args.trace)
-        service = CampaignService(
-            args.store, workers=args.workers, use_plan_cache=not args.no_plan_cache
-        )
+        service = CampaignService(args.store, workers=args.workers)
         server = CampaignServiceServer(service, host=args.host, port=args.port)
         host, port = server.address
         if args.port_file:
@@ -420,7 +407,6 @@ def main(argv: list[str]) -> int:
                 workers=args.workers,
                 resume=args.command == "resume" or not getattr(args, "no_resume", False),
                 log=None if args.json else log.info,
-                use_plan_cache=not args.no_plan_cache,
             )
         except (KeyError, ValueError) as error:
             # Invalid axis values (bad strategy, model class, family...)

@@ -116,20 +116,6 @@ def migrate_store(
     for name in campaigns:
         dst._write_manifest_text(name, src.read_manifest_text(name))
 
-    # Artifacts (kernel plans) ride along best-effort: they are a cache, so
-    # a backend that cannot serve or store them just leaves the destination
-    # cold -- never a failed migration.
-    artifacts_copied = 0
-    try:
-        from repro.execution.plan import ARTIFACT_KIND
-
-        for key in src.list_artifacts(ARTIFACT_KIND):
-            blob = src.get_artifact(ARTIFACT_KIND, key)
-            if blob is not None and dst.put_artifact(ARTIFACT_KIND, key, blob):
-                artifacts_copied += 1
-    except Exception:  # noqa: BLE001 - cache channel, never fatal
-        pass
-
     verified = []
     for name in campaigns:
         text = dst.read_manifest_text(name)
@@ -164,7 +150,6 @@ def migrate_store(
         "destination": dst.uri,
         "records_copied": copied,
         "records_already_present": skipped,
-        "artifacts_copied": artifacts_copied,
         "campaigns": verified,
     }
 

@@ -191,29 +191,6 @@ class StoreBackend(ABC):
         """
 
     # ------------------------------------------------------------------ #
-    # Artifacts (auxiliary blobs: kernel plans, future caches)
-    # ------------------------------------------------------------------ #
-    #
-    # Artifacts are opaque byte blobs keyed by ``(kind, key)``; they are a
-    # *cache* channel, invisible to record/manifest accounting (the manifest
-    # digest covers only the spec and record digests, so adding, dropping or
-    # corrupting artifacts can never perturb it).  The base implementations
-    # are deliberately inert no-ops -- a backend without artifact storage is
-    # still a valid store, callers just run cold.
-
-    def put_artifact(self, kind: str, key: str, blob: bytes) -> bool:
-        """Store an artifact blob (overwriting); False if unsupported."""
-        return False
-
-    def get_artifact(self, kind: str, key: str) -> bytes | None:
-        """The stored artifact blob, or ``None`` when absent/unsupported."""
-        return None
-
-    def list_artifacts(self, kind: str) -> list[str]:
-        """Stored artifact keys of one kind, sorted."""
-        return []
-
-    # ------------------------------------------------------------------ #
     # Manifests
     # ------------------------------------------------------------------ #
 

@@ -165,26 +165,6 @@ class JsonBackend(StoreBackend):
         return digest
 
     # ------------------------------------------------------------------ #
-    # Artifacts (artifacts/<kind>/<kk>/<key>.bin)
-    # ------------------------------------------------------------------ #
-
-    def _artifact_path(self, kind: str, key: str) -> Path:
-        return self.root / "artifacts" / kind / key[:2] / f"{key}.bin"
-
-    def put_artifact(self, kind: str, key: str, blob: bytes) -> bool:
-        self._atomic_write_bytes(self._artifact_path(kind, key), blob)
-        return True
-
-    def get_artifact(self, kind: str, key: str) -> bytes | None:
-        try:
-            return self._artifact_path(kind, key).read_bytes()
-        except OSError:
-            return None
-
-    def list_artifacts(self, kind: str) -> list[str]:
-        return sorted(path.stem for path in (self.root / "artifacts" / kind).glob("*/*.bin"))
-
-    # ------------------------------------------------------------------ #
     # Manifests
     # ------------------------------------------------------------------ #
 
@@ -221,22 +201,6 @@ class JsonBackend(StoreBackend):
         try:
             with handle:
                 handle.write(text)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except FileNotFoundError:
-                pass
-            raise
-
-    def _atomic_write_bytes(self, path: Path, blob: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle = tempfile.NamedTemporaryFile(
-            "wb", dir=path.parent, prefix=f".{path.name}.", delete=False
-        )
-        try:
-            with handle:
-                handle.write(blob)
             os.replace(handle.name, path)
         except BaseException:
             try:

@@ -59,12 +59,6 @@ CREATE TABLE IF NOT EXISTS manifests (
     digest   TEXT NOT NULL,
     manifest TEXT NOT NULL
 ) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS artifacts (
-    kind TEXT NOT NULL,
-    key  TEXT NOT NULL,
-    blob BLOB NOT NULL,
-    PRIMARY KEY (kind, key)
-) WITHOUT ROWID;
 """
 
 
@@ -266,42 +260,6 @@ class SqliteBackend(StoreBackend):
         if conn is None:
             return 0
         return conn.execute("SELECT COUNT(*) FROM objects").fetchone()[0]
-
-    # ------------------------------------------------------------------ #
-    # Artifacts
-    # ------------------------------------------------------------------ #
-
-    def put_artifact(self, kind: str, key: str, blob: bytes) -> bool:
-        conn = self._connect(create=True)
-        conn.execute(
-            "INSERT OR REPLACE INTO artifacts (kind, key, blob) VALUES (?, ?, ?)",
-            (kind, key, blob),
-        )
-        return True
-
-    def get_artifact(self, kind: str, key: str) -> bytes | None:
-        conn = self._connect(create=False)
-        if conn is None:
-            return None
-        try:
-            row = conn.execute(
-                "SELECT blob FROM artifacts WHERE kind = ? AND key = ?", (kind, key)
-            ).fetchone()
-        except sqlite3.OperationalError:
-            return None  # pre-artifacts database never reopened for writing
-        return bytes(row[0]) if row is not None else None
-
-    def list_artifacts(self, kind: str) -> list[str]:
-        conn = self._connect(create=False)
-        if conn is None:
-            return []
-        try:
-            rows = conn.execute(
-                "SELECT key FROM artifacts WHERE kind = ? ORDER BY key", (kind,)
-            ).fetchall()
-        except sqlite3.OperationalError:
-            return []
-        return [row[0] for row in rows]
 
     # ------------------------------------------------------------------ #
     # Manifests

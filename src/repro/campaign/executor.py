@@ -30,9 +30,6 @@ to a serial run's.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
-import threading
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -44,18 +41,6 @@ from repro.campaign.spec import CampaignSpec, Scenario, content_digest
 from repro.campaign.store import ResultStore
 from repro.engines.registry import resolve_engine
 from repro.execution.engine import logic_engine_for, run_iter
-from repro.execution.plan import (
-    ARTIFACT_KIND,
-    KernelPlan,
-    PlanPublisher,
-    PlanRef,
-    capture_delta,
-    capture_plan,
-    fold_delta,
-    install_plan,
-    load_plans,
-    plan_key,
-)
 from repro.graphs.graph import Graph
 from repro.graphs.ports import PortNumbering
 from repro.logic.bisimulation import bisimilarity_partition
@@ -115,32 +100,16 @@ def canonical_value(value: Any) -> Any:
 #: within one process -- a shard no longer rebuilds the same witness graph
 #: (or re-enumerates the same Table 4/5 formula) for every chunk it
 #: evaluates.  Lives at module level so each multiprocessing worker owns one.
-#: Each memo is bounded: on overflow it is simply cleared (the campaign
-#: working sets are far below the caps; the bound only protects long-lived
-#: processes sweeping unbounded distinct scenarios from monotonic growth).
+#: Each memo is bounded: on overflow it is simply cleared and
+#: ``campaign.memo.evictions`` counts the clear (the campaign working sets
+#: are far below the caps; the bound only protects long-lived processes
+#: sweeping unbounded distinct scenarios from monotonic growth).
 _WORKER_GRAPHS: dict[tuple, Graph] = {}
 _WORKER_ALGORITHMS: dict[str, Any] = {}
 _WORKER_FORMULA_SETS: dict[str, Any] = {}
 _WORKER_MACHINE_FORMULAS: dict[tuple, Any] = {}
 
-_DEFAULT_WORKER_MEMO_LIMIT = 512
-
-
-def _env_limit(name: str, default: int) -> int:
-    try:
-        value = int(os.environ.get(name, ""))
-    except (TypeError, ValueError):
-        return default
-    return value if value > 0 else default
-
-
-#: Entries a worker memo may hold before it is evicted (cleared wholesale).
-#: Configurable: the ``REPRO_WORKER_MEMO_LIMIT`` environment variable seeds
-#: it per process (workers inherit the parent's environment), and
-#: :func:`set_worker_memo_limit` adjusts it at runtime.  Evictions are no
-#: longer silent -- each one increments ``campaign.memo.evictions`` and the
-#: current cap is published as the ``campaign.memo.limit`` gauge.
-_WORKER_MEMO_LIMIT = _env_limit("REPRO_WORKER_MEMO_LIMIT", _DEFAULT_WORKER_MEMO_LIMIT)
+_WORKER_MEMO_LIMIT = 512
 #: Machine formulas can be CORRESPONDENCE_NODE_BUDGET-sized; keep fewer.
 _WORKER_FORMULA_LIMIT = 64
 #: Reset a memoized wrapper's interning tables past this many configurations:
@@ -150,32 +119,11 @@ _WORKER_FORMULA_LIMIT = 64
 _WORKER_CONFIG_LIMIT = 200_000
 
 
-def set_worker_memo_limit(limit: int | None) -> int:
-    """Set the worker memo cap; ``None`` restores the env/default value.
-
-    Returns the cap now in effect.  Affects this process only -- pool
-    workers read ``REPRO_WORKER_MEMO_LIMIT`` from their inherited
-    environment instead.
-    """
-    global _WORKER_MEMO_LIMIT
-    if limit is None:
-        _WORKER_MEMO_LIMIT = _env_limit(
-            "REPRO_WORKER_MEMO_LIMIT", _DEFAULT_WORKER_MEMO_LIMIT
-        )
-    else:
-        _WORKER_MEMO_LIMIT = max(1, int(limit))
-    if _metrics.enabled():
-        _metrics.gauge("campaign.memo.limit").set(_WORKER_MEMO_LIMIT)
-    return _WORKER_MEMO_LIMIT
-
-
-def _memo_put(memo: dict, key: Any, value: Any, limit: int | None = None) -> Any:
-    cap = _WORKER_MEMO_LIMIT if limit is None else limit
-    if len(memo) >= cap:
+def _memo_put(memo: dict, key: Any, value: Any, limit: int = _WORKER_MEMO_LIMIT) -> Any:
+    if len(memo) >= limit:
         memo.clear()
         if _metrics.enabled():
             _metrics.counter("campaign.memo.evictions").inc()
-            _metrics.gauge("campaign.memo.limit").set(cap)
     memo[key] = value
     return value
 
@@ -197,79 +145,6 @@ def clear_worker_memo() -> None:
 def _memo_observe(hit: bool) -> None:
     if _metrics.enabled():
         _metrics.counter("campaign.memo.hits" if hit else "campaign.memo.misses").inc()
-
-
-# --------------------------------------------------------------------------- #
-# Worker-side plan activation
-# --------------------------------------------------------------------------- #
-
-#: Plans published by the parent, installed into a worker's fast-path
-#: wrappers so shards start from warm interning tables instead of rebuilding
-#: them.  ``_PLAN_BASELINES`` remembers each wrapper's table sizes at install
-#: time -- everything a shard interns beyond its baseline travels back to the
-#: parent as a :class:`~repro.execution.plan.PlanDelta`.
-_ACTIVE_PLANS: dict[str, KernelPlan] = {}
-_PLAN_BASELINES: dict[str, Any] = {}
-_ACTIVE_GENERATION = -1
-
-
-def _activate_plans(plan_ref: PlanRef | None) -> None:
-    """Load a published plan set into this worker (newest generation wins).
-
-    Wrappers that already exist are re-installed wholesale -- sound because
-    interned ids are internal to a wrapper and deltas are folded by value --
-    and wrappers built later pick their plan up in :func:`_worker_algorithm`.
-    Every failure path leaves the worker running cold; plans are a cache.
-    """
-    global _ACTIVE_GENERATION
-    if plan_ref is None or plan_ref.generation <= _ACTIVE_GENERATION:
-        return
-    try:
-        plans = load_plans(plan_ref)
-        if plans is None:
-            return
-        _ACTIVE_GENERATION = plan_ref.generation
-        _ACTIVE_PLANS.clear()
-        _ACTIVE_PLANS.update(plans)
-        for name, plan in plans.items():
-            fast = _WORKER_ALGORITHMS.get(name)
-            if fast is not None:
-                _PLAN_BASELINES[name] = install_plan(fast, plan)
-    except Exception:  # noqa: BLE001 - degrade to a cold worker
-        pass
-
-
-def _campaign_init_worker(obs_config: Any, plan_ref: PlanRef | None) -> None:
-    """Pool initializer: telemetry config plus the published plan set."""
-    _obs_init_worker(obs_config)
-    _activate_plans(plan_ref)
-
-
-def _plan_deltas() -> list[tuple[str, Any]] | None:
-    """This worker's table discoveries beyond each plan-install baseline.
-
-    Deltas are cumulative since install (folding is idempotent), so a
-    long-lived service worker that runs many shards between re-publications
-    keeps sending a superset -- the parent's keyed setdefault folds only the
-    genuinely new entries.  Returns ``None`` when there is nothing new or
-    the deltas cannot travel (unpicklable values must never cost the shard
-    its records).
-    """
-    deltas: list[tuple[str, Any]] = []
-    try:
-        for name, baseline in list(_PLAN_BASELINES.items()):
-            fast = _WORKER_ALGORITHMS.get(name)
-            if fast is None:
-                continue
-            delta = capture_delta(fast, baseline)
-            if delta is not None:
-                deltas.append((name, delta))
-        if not deltas:
-            return None
-        pickle.dumps(deltas, protocol=4)  # transport probe; see docstring
-        return deltas
-    except Exception:  # noqa: BLE001 - plans are a cache, records are not
-        return None
 
 
 def _materialize(scenario: Scenario) -> tuple[Graph, PortNumbering]:
@@ -302,12 +177,6 @@ def _worker_algorithm(name: str) -> Any:
             name,
             fast_path(registry.build_algorithm(name), memoize_transitions=True),
         )
-        plan = _ACTIVE_PLANS.get(name)
-        if plan is not None:
-            try:
-                _PLAN_BASELINES[name] = install_plan(algorithm, plan)
-            except Exception:  # noqa: BLE001 - run cold instead
-                _PLAN_BASELINES.pop(name, None)
     tables = algorithm.sweep_tables
     vtables = algorithm.vector_tables
     if (
@@ -317,9 +186,6 @@ def _worker_algorithm(name: str) -> Any:
         or algorithm.cache_size > _WORKER_CONFIG_LIMIT
     ):
         algorithm.clear_cache()
-        # The cleared tables no longer extend the install baseline, so no
-        # sound delta exists for this wrapper anymore.
-        _PLAN_BASELINES.pop(name, None)
     return algorithm
 
 
@@ -539,201 +405,25 @@ def evaluate_scenarios(scenarios: list[Scenario]) -> list[dict[str, Any]]:
 
 def _run_shard(
     scenarios: list[Scenario],
-    plan_ref: PlanRef | None = None,
-) -> tuple[list[dict[str, Any]], dict[str, Any] | None, list[tuple[str, Any]] | None]:
+) -> tuple[list[dict[str, Any]], dict[str, Any] | None]:
     """Multiprocessing entry point: one worker evaluates one shard.
 
     Returns the shard's records plus the worker's metrics delta for this
     shard (``None`` when telemetry is off), so the parent can fold worker
     counters into its own registry without double-counting anything a
-    long-lived worker accumulated on earlier shards, plus the worker's plan
-    deltas (``None`` when nothing new was interned).
-
-    ``plan_ref`` carries a per-task plan publication (the service path,
-    where the parent re-publishes folded plans between shards); campaign
-    pool workers instead receive the ref once through their initializer.
+    long-lived worker accumulated on earlier shards.
     """
-    _activate_plans(plan_ref)
     if not _metrics.enabled():
-        return evaluate_scenarios(scenarios), None, _plan_deltas()
+        return evaluate_scenarios(scenarios), None
     before = _metrics.snapshot()
     records = evaluate_scenarios(scenarios)
-    return records, _metrics.snapshot_delta(before, _metrics.snapshot()), _plan_deltas()
+    return records, _metrics.snapshot_delta(before, _metrics.snapshot())
 
 
 #: Serial runs persist records to the store after every chunk of this many
 #: scenarios, bounding how much work a mid-run interrupt can lose.  Large
 #: enough that each chunk still forms sizeable run_iter batches.
 SERIAL_CHUNK = 64
-
-
-# --------------------------------------------------------------------------- #
-# Parent-side plan-cache coordination
-# --------------------------------------------------------------------------- #
-
-
-class PlanCache:
-    """The parent's side of the kernel plan cache for one store.
-
-    Owns one fast-path wrapper per plannable algorithm (the fold target and
-    the persistence source), the store artifact keys it maps to (one per
-    ``(algorithm, engine)`` pair -- every key of an algorithm stores the
-    same full payload), and the :class:`PlanPublisher` whose shared-memory
-    generations the shard workers load.  Thread-safe: the campaign service
-    prepares/publishes from its dispatch thread and folds from its result
-    thread.
-
-    Every operation is defensive -- a plan that cannot be loaded, folded,
-    published or persisted leaves the run cold (and correct), never broken.
-    """
-
-    def __init__(self, store: Any, enabled: bool = True) -> None:
-        self._store = store
-        self.enabled = enabled
-        self._wrappers: dict[str, Any] = {}
-        self._keys: dict[str, dict[str, str]] = {}  # name -> engine -> key
-        self._warm: set[str] = set()
-        self._publisher = PlanPublisher()
-        self._ref: PlanRef | None = None
-        self._dirty = False
-        self._lock = threading.Lock()
-
-    def prepare(self, scenarios: list[Scenario]) -> None:
-        """Build wrappers and load stored plans for new plannable groups."""
-        if not self.enabled:
-            return
-        with self._lock:
-            for scenario in scenarios:
-                if scenario.kind != "execution" or not scenario.algorithm:
-                    continue
-                try:
-                    if not resolve_engine(scenario.engine).plannable:
-                        continue
-                except Exception:  # noqa: BLE001 - unknown/unavailable engine
-                    continue
-                name = scenario.algorithm
-                engines = self._keys.get(name)
-                if engines is not None and scenario.engine in engines:
-                    continue
-                fast = self._wrappers.get(name)
-                if fast is None:
-                    try:
-                        fast = fast_path(
-                            registry.build_algorithm(name), memoize_transitions=True
-                        )
-                    except Exception:  # noqa: BLE001 - bad registry entry
-                        continue
-                    self._wrappers[name] = fast
-                    self._keys[name] = {}
-                try:
-                    key = plan_key(fast, scenario.engine)
-                except Exception:  # noqa: BLE001 - unkeyable algorithm
-                    continue
-                self._keys[name][scenario.engine] = key
-                self._dirty = True
-                self._load(name, fast, key)
-
-    def _load(self, name: str, fast: Any, key: str) -> None:
-        """Try one stored artifact; install it if the wrapper is still cold."""
-        blob = None
-        try:
-            blob = self._store.get_artifact(ARTIFACT_KIND, key)
-        except Exception:  # noqa: BLE001 - artifact channel is best-effort
-            blob = None
-        if _metrics.enabled():
-            _metrics.counter("plan.cache.hit" if blob else "plan.cache.miss").inc()
-        if blob is None or name in self._warm:
-            return
-        try:
-            install_plan(fast, KernelPlan.from_bytes(blob))
-            self._warm.add(name)
-        except Exception:  # noqa: BLE001 - stale/corrupt artifact: run cold
-            pass
-
-    def ref(self) -> PlanRef | None:
-        """The current publication, re-publishing first when dirty.
-
-        Plans are published even when empty: workers then install a shared
-        zero baseline, so their deltas carry *every* discovery and the
-        parent can persist a complete plan without re-running anything.
-        """
-        if not self.enabled:
-            return None
-        with self._lock:
-            if not self._wrappers:
-                return None
-            if self._dirty or self._ref is None:
-                try:
-                    plans = {
-                        name: capture_plan(fast)
-                        for name, fast in self._wrappers.items()
-                    }
-                    self._ref = self._publisher.publish(plans)
-                    self._dirty = False
-                    if self._ref is not None and _metrics.enabled():
-                        _metrics.counter("plan.cache.publish").inc()
-                except Exception:  # noqa: BLE001 - workers run cold
-                    self._ref = None
-            return self._ref
-
-    def fold(self, plan_deltas: list[tuple[str, Any]] | None) -> None:
-        """Fold a shard's worker deltas into the parent wrappers."""
-        if not self.enabled or not plan_deltas:
-            return
-        with self._lock:
-            with _span("plan.fold", deltas=len(plan_deltas)) as sp:
-                folded = 0
-                for name, delta in plan_deltas:
-                    fast = self._wrappers.get(name)
-                    if fast is None:
-                        continue
-                    try:
-                        if fold_delta(fast, delta):
-                            folded += 1
-                            self._dirty = True
-                    except Exception:  # noqa: BLE001 - drop the delta
-                        pass
-                sp.set(folded=folded)
-
-    def activate_local(self) -> None:
-        """Seed the in-process worker memo with the parent wrappers.
-
-        The serial path (and the service's in-process mode) then evaluates
-        straight into the fold targets: discoveries accumulate in place and
-        :meth:`persist` captures them without any delta plumbing.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            for name, fast in self._wrappers.items():
-                _WORKER_ALGORITHMS[name] = fast
-
-    def persist(self) -> None:
-        """Write every non-empty plan to the store (all keys of each name)."""
-        if not self.enabled:
-            return
-        with self._lock:
-            for name, fast in self._wrappers.items():
-                try:
-                    plan = capture_plan(fast)
-                    if plan.empty:
-                        continue
-                    blob = plan.to_bytes()
-                except Exception:  # noqa: BLE001 - unserializable tables
-                    continue
-                for key in self._keys.get(name, {}).values():
-                    try:
-                        if self._store.put_artifact(ARTIFACT_KIND, key, blob):
-                            if _metrics.enabled():
-                                _metrics.counter("plan.cache.persist").inc()
-                    except Exception:  # noqa: BLE001 - cache write only
-                        pass
-
-    def close(self) -> None:
-        """Release the publisher's shared-memory segments."""
-        with self._lock:
-            self._publisher.close()
-            self._ref = None
 
 
 # --------------------------------------------------------------------------- #
@@ -777,7 +467,6 @@ def run_campaign(
     workers: int | None = None,
     resume: bool = True,
     log: Callable[[str], None] | None = None,
-    use_plan_cache: bool = True,
 ) -> CampaignRun:
     """Run (or resume) a campaign against a result store.
 
@@ -799,13 +488,6 @@ def run_campaign(
         algorithm or engine behind unchanged scenario coordinates).
     log:
         Optional progress sink (the CLI passes ``print``).
-    use_plan_cache:
-        When true (the default), kernel plans stored in the campaign store
-        start plannable engines warm, workers receive published plans via
-        shared memory, and the plans discovered during the run are persisted
-        for the next one.  Plans never change any record or the manifest
-        digest -- only the wall time -- and ``False`` (the ``--no-plan-cache``
-        escape hatch) bypasses the machinery entirely.
     """
     if isinstance(store, (str, Path)):
         store = ResultStore(store)
@@ -826,9 +508,6 @@ def run_campaign(
             f"{skipped} already stored, {len(pending)} to run"
         )
 
-    plan_cache = PlanCache(store, enabled=use_plan_cache)
-    plan_cache.prepare(pending)
-
     # Records are persisted incrementally -- per shard as it completes, per
     # chunk on the serial path -- so an interrupted run resumes from whatever
     # it got through, not from zero (the index heals from the objects).
@@ -840,24 +519,16 @@ def run_campaign(
                 shard_count = min(workers, len(pending))
                 shards = [pending[i::shard_count] for i in range(shard_count)]
                 with multiprocessing.Pool(
-                    shard_count,
-                    initializer=_campaign_init_worker,
-                    initargs=(_obs_worker_config(), plan_cache.ref()),
+                    shard_count, initializer=_obs_init_worker, initargs=(_obs_worker_config(),)
                 ) as pool:
-                    for shard_records, delta, plan_deltas in pool.imap_unordered(
-                        _run_shard, shards
-                    ):
+                    for shard_records, delta in pool.imap_unordered(_run_shard, shards):
                         # One index flush per completed shard: a run that dies
                         # between shards resumes with a warm index, and the
                         # object files alone still carry the resume if it dies
                         # mid-flush (the index is pure acceleration).
                         store.put_many(shard_records, overwrite=not resume)
                         _metrics.merge_snapshot(delta)
-                        plan_cache.fold(plan_deltas)
             else:
-                # Serial evaluation runs straight inside the plan-cache
-                # wrappers, so discoveries accumulate in place.
-                plan_cache.activate_local()
                 for start in range(0, len(pending), SERIAL_CHUNK):
                     store.put_many(
                         evaluate_scenarios(pending[start : start + SERIAL_CHUNK]),
@@ -870,8 +541,6 @@ def run_campaign(
     # self-healed entries (e.g. a lost index.json over a populated store) by
     # re-reading object files -- those healed digests must be persisted.
     store.save_index()
-    plan_cache.persist()
-    plan_cache.close()
     run = CampaignRun(
         name=spec.name,
         total=len(scenarios),

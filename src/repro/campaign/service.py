@@ -47,15 +47,10 @@ from typing import Any
 from repro.campaign.aggregate import CampaignRollup
 from repro.campaign.backends.base import StoreError
 from repro.campaign.builtin import BUILTIN_CAMPAIGNS, builtin_spec
-from repro.campaign.executor import (
-    PlanCache,
-    _campaign_init_worker,
-    _run_shard,
-    evaluate_scenarios,
-)
+from repro.campaign.executor import _run_shard, evaluate_scenarios
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore
-from repro.obs import worker_config as _obs_worker_config
+from repro.obs import init_worker as _obs_init_worker, worker_config as _obs_worker_config
 from repro.obs import metrics as _metrics
 from repro.obs.export import prometheus_text
 
@@ -131,15 +126,10 @@ class CampaignService:
         store: ResultStore | str,
         workers: int | None = None,
         shard_size: int = SERVICE_SHARD,
-        use_plan_cache: bool = True,
     ) -> None:
         self.store = ResultStore(store)
         self.workers = workers or 0
         self.shard_size = max(1, shard_size)
-        # One plan cache for the service lifetime: stored plans warm the
-        # first job, every job's discoveries warm the next (folded between
-        # shards, re-published to the pool, persisted at shutdown).
-        self._plan_cache = PlanCache(self.store, enabled=use_plan_cache)
         self._lock = threading.RLock()
         self._turnstile = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
@@ -157,10 +147,8 @@ class CampaignService:
 
             self._pool = multiprocessing.Pool(
                 self.workers,
-                # Workers start with no plan ref: jobs arrive after the pool
-                # exists, so plans travel as per-task refs in _dispatch_loop.
-                initializer=_campaign_init_worker,
-                initargs=(_obs_worker_config(), None),
+                initializer=_obs_init_worker,
+                initargs=(_obs_worker_config(),),
             )
         self._closed = False
         self._dispatcher = threading.Thread(
@@ -206,11 +194,24 @@ class CampaignService:
             if scenario_hash not in job.by_hash:
                 job.by_hash[scenario_hash] = scenario
                 hashes.append(scenario_hash)
-        present = self.store.has_many(hashes) if resume else set()
+        present: set[str] = set()
+        if resume:
+            with self._lock:
+                was_inflight = [h for h in hashes if self._inflight.get(h)]
+            present = self.store.has_many(hashes)
 
         hit_hashes: list[str] = []
         to_run: list[Scenario] = []
         with self._lock:
+            if resume:
+                # A scenario in flight at the snapshot but no longer in flight
+                # was folded (or failed) after the store probe looked: ask the
+                # store again for just those, or it would run a second time.
+                settled = [
+                    h for h in was_inflight if h not in present and not self._inflight.get(h)
+                ]
+                if settled:
+                    present |= self.store.has_many(settled)
             job.total = len(hashes)
             job.waiting = set(hashes)
             for scenario_hash in hashes:
@@ -243,10 +244,6 @@ class CampaignService:
 
         if hit_hashes:
             self._completions.put(("hits", job.job_id, hit_hashes))
-        # Warm the plan cache for any (algorithm, engine) group this job
-        # introduces before its shards dispatch (cheap seen-set check after
-        # the first job names the group).
-        self._plan_cache.prepare(to_run)
         for start in range(0, len(to_run), self.shard_size):
             self._tasks.put((job.job_id, to_run[start : start + self.shard_size]))
         return job.job_id
@@ -348,10 +345,6 @@ class CampaignService:
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
-        # Persist everything the service's jobs taught the plans, then drop
-        # the shared-memory publications (the store copy outlives us).
-        self._plan_cache.persist()
-        self._plan_cache.close()
 
     def __enter__(self) -> "CampaignService":
         return self
@@ -398,12 +391,9 @@ class CampaignService:
             if not keep:
                 continue
             if self._pool is not None:
-                # The current plan publication rides along per task: a worker
-                # whose generation is stale re-loads from shared memory, so
-                # plans folded from earlier shards warm later ones.
                 self._pool.apply_async(
                     _run_shard,
-                    (keep, self._plan_cache.ref()),
+                    (keep,),
                     callback=lambda result, jid=job_id: self._completions.put(
                         ("records", jid, result)
                     ),
@@ -414,15 +404,12 @@ class CampaignService:
             else:
                 try:
                     # In-process evaluation updates the live registry
-                    # directly; only pool workers ship deltas back.  The
-                    # plan-cache wrappers are seeded as the live evaluation
-                    # targets, so discoveries accumulate in place.
-                    self._plan_cache.activate_local()
+                    # directly; only pool workers ship a delta back.
                     records = evaluate_scenarios(keep)
                 except Exception as error:  # noqa: BLE001 - job-level failure
                     self._completions.put(("error", job_id, keep, error))
                 else:
-                    self._completions.put(("records", job_id, (records, None, None)))
+                    self._completions.put(("records", job_id, (records, None)))
 
     def _completion_loop(self) -> None:
         while True:
@@ -484,15 +471,10 @@ class CampaignService:
                 self._finalize_locked(job)
 
     def _fold_shard(
-        self,
-        job_id: str,
-        shard_result: tuple[
-            list[dict[str, Any]], dict[str, Any] | None, list[tuple[str, Any]] | None
-        ],
+        self, job_id: str, shard_result: tuple[list[dict[str, Any]], dict[str, Any] | None]
     ) -> None:
-        records, metrics_delta, plan_deltas = shard_result
+        records, metrics_delta = shard_result
         _metrics.merge_snapshot(metrics_delta)
-        self._plan_cache.fold(plan_deltas)
         job = self._jobs[job_id]
         self.store.put_many(records, overwrite=not job.resume)
         with self._lock:

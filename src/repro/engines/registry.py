@@ -140,11 +140,6 @@ class EngineSpec:
     batched:
         Whether the backend executes a whole batch as one superposed/fused
         call (no meaningful per-instance streaming or wall-clock split).
-    plannable:
-        Whether the backend's interned tables can be captured into and
-        installed from a :class:`repro.execution.plan.KernelPlan` -- the
-        campaign layer only loads/persists plan artifacts for plannable
-        engines.
     """
 
     name: str
@@ -154,7 +149,6 @@ class EngineSpec:
     probe: Any = None
     logic_backend: str = "compiled"
     batched: bool = False
-    plannable: bool = False
 
     def available(self) -> bool:
         """Whether the optional dependency (if any) is importable."""
@@ -172,7 +166,6 @@ _REGISTRY: dict[str, EngineSpec] = {
             capabilities=frozenset({"sweep", "inputs"}),
             logic_backend="compiled",
             batched=True,
-            plannable=True,
         ),
         EngineSpec(
             name="compiled",
@@ -197,7 +190,6 @@ _REGISTRY: dict[str, EngineSpec] = {
             probe=_numpy_available,
             logic_backend="vector",
             batched=True,
-            plannable=True,
         ),
     )
 }

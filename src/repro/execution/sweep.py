@@ -559,20 +559,16 @@ def _sweep_group(
     if rebuild_send:
         shape_key = "b" if broadcast else uniform_degree
         row_of = tables.rebuild_rows.get(shape_key)
-        if row_of is None or row_of._build is None:
-            # ``_build is None`` marks a plan-installed table
-            # (:func:`repro.execution.plan.install_plan` ships the row dicts
-            # but not the process-local builder closure); rebind it here so
-            # warm entries survive and misses fall through to ``mu``.
+        if row_of is None:
             if broadcast:
-                build = (
+                row_of = _LazyRowTable(
                     lambda sid: 0
                     if state_stops[sid]
                     else intern_msg(broadcast_rule(state_values[sid]))
                 )
             else:
                 m0_row = m0_rows[uniform_degree]
-                build = (
+                row_of = _LazyRowTable(
                     lambda sid: m0_row
                     if state_stops[sid]
                     else tuple(
@@ -580,10 +576,7 @@ def _sweep_group(
                         for q in range(uniform_degree)
                     )
                 )
-            if row_of is None:
-                row_of = tables.rebuild_rows[shape_key] = _LazyRowTable(build)
-            else:
-                row_of._build = build
+            tables.rebuild_rows[shape_key] = row_of
         row_of_get = row_of.__getitem__
     else:
         row_of_get = None

@@ -18,6 +18,7 @@ from repro.campaign import (
     BUILTIN_CAMPAIGNS,
     GRAPH_FAMILIES,
     MODEL_DEFAULT_ALGORITHMS,
+    CampaignService,
     CampaignSpec,
     GraphGrid,
     ResultStore,
@@ -42,6 +43,14 @@ def tiny_spec(name: str = "tiny") -> CampaignSpec:
         model_classes=["SB", "MB"],
         seeds=[0, 1],
     )
+
+
+#: Manifest digests of built-in campaigns.  A digest covers the spec and every
+#: record's result payload, so these move only when a record changes.
+PINNED_DIGESTS = {
+    "smoke": "32aae15efaf7ad7d7110cedf39fb8b5dbbbf9312565c86bea0b892227753ffb9",
+    "e3-hierarchy": "80b6e8f8f3d87b6d467c9f08a10d50c3369e6304fd9bc920647e11ceb96f7ab5",
+}
 
 
 def tiny_logic_spec(name: str = "tiny-logic") -> CampaignSpec:
@@ -390,6 +399,35 @@ class TestDeterminism:
             f"warm resume only {cold_wall / warm_wall:.1f}x faster "
             f"(cold {cold_wall:.3f}s, warm {warm_wall:.3f}s)"
         )
+
+    @pytest.mark.parametrize("path", ["serial", "sharded", "service", "rerun"])
+    @pytest.mark.parametrize("scheme", ["json", "sqlite"])
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_builtin_manifest_digests_are_pinned(self, tmp_path, name, scheme, path):
+        """The built-in campaigns' records are fixed: any execution path over
+        either backend reproduces the same manifest digest, byte for byte.
+        ``rerun`` re-evaluates a populated store (``resume=False``) on the
+        warm in-process tables the first run left behind."""
+        uri = f"{scheme}:{tmp_path / 'store'}"
+        if path == "service":
+            service = CampaignService(uri, workers=2)
+            try:
+                job = service.submit(builtin_spec(name))
+                assert service.wait(job, timeout=300)
+                digest = service.status(job)["manifest_digest"]
+            finally:
+                service.shutdown(wait=False)
+        else:
+            workers = 2 if path == "sharded" else None
+            digest = run_campaign(
+                builtin_spec(name), uri, workers=workers, log=None
+            ).manifest_digest
+            if path == "rerun":
+                assert digest == PINNED_DIGESTS[name]
+                rerun = run_campaign(builtin_spec(name), uri, resume=False, log=None)
+                assert rerun.executed == rerun.total
+                digest = rerun.manifest_digest
+        assert digest == PINNED_DIGESTS[name]
 
     def test_engine_knob_does_not_change_results(self, tmp_path):
         compiled = CampaignSpec(
@@ -833,6 +871,34 @@ class TestWorkerMemo:
         finally:
             executor.clear_worker_memo()
 
+    def test_eviction_counter(self):
+        from repro import obs
+        from repro.campaign.executor import _memo_put
+
+        obs.reset()
+        obs.enable()
+        try:
+            memo: dict = {}
+            for i in range(3):
+                _memo_put(memo, f"k{i}", i, limit=2)
+            # Third insert tripped the cap: the memo was cleared, then the
+            # newcomer stored.
+            assert memo == {"k2": 2}
+            assert obs.snapshot()["counters"].get("campaign.memo.evictions", 0) == 1
+        finally:
+            obs.disable()
+            obs.reset()
+
+    def test_default_memo_bound_is_512(self):
+        from repro.campaign.executor import _memo_put
+
+        memo: dict = {}
+        for i in range(512):
+            _memo_put(memo, i, i)
+        assert len(memo) == 512
+        _memo_put(memo, "overflow", 0)
+        assert memo == {"overflow": 0}
+
     def test_replacing_a_registration_invalidates_the_memo(self):
         from repro.campaign import executor, registry
 
@@ -845,3 +911,41 @@ class TestWorkerMemo:
         assert not executor._WORKER_GRAPHS
         rebuilt, _ = executor._materialize(scenario)
         assert rebuilt == graph
+
+
+class TestShardEntryPoint:
+    """``_run_shard`` is what a pool worker runs: records plus a metrics delta."""
+
+    def test_records_match_serial_evaluation_and_no_delta_without_telemetry(self):
+        from repro import obs
+        from repro.campaign.executor import _run_shard
+
+        obs.disable()
+        scenarios = tiny_spec("shard").expand()
+        records, delta = _run_shard(scenarios)
+        assert delta is None
+        assert [r["hash"] for r in records] == [s.content_hash() for s in scenarios]
+        assert [record_digest(r) for r in records] == [
+            record_digest(r) for r in evaluate_scenarios(scenarios)
+        ]
+
+    def test_delta_covers_only_its_own_shard(self):
+        from repro import obs
+        from repro.campaign.executor import _run_shard
+
+        scenarios = tiny_spec("shard-delta").expand()
+        first, second = scenarios[:5], scenarios[5:]
+        obs.reset()
+        obs.enable()
+        try:
+            _, first_delta = _run_shard(first)
+            _, second_delta = _run_shard(second)
+        finally:
+            obs.disable()
+            obs.reset()
+        # A long-lived worker accumulates across shards; each delta must
+        # carry just its own shard so the parent's merge counts it once.
+        assert first_delta["counters"]["campaign.scenarios.execution"] == len(first)
+        assert second_delta["counters"]["campaign.scenarios.execution"] == len(second)
+        shard_sizes = second_delta["histograms"]["campaign.shard.scenarios"]
+        assert shard_sizes["count"] == 1 and shard_sizes["sum"] == len(second)

@@ -112,6 +112,49 @@ class TestServiceLifecycle:
         assert s2["executed"] == s2["total"] - len(overlap)
         assert s2["store_hits"] + s2["inflight_hits"] == len(overlap)
 
+    def test_scenarios_folded_during_the_store_probe_are_not_rerun(
+        self, service, monkeypatch
+    ):
+        # The second job's store probe misses scenarios the first job still
+        # has in flight; the first job folds them before the second job
+        # classifies them, so they are store hits, not a second execution.
+        from repro.campaign import service as service_module
+
+        release = threading.Event()
+        evaluate = service_module.evaluate_scenarios
+
+        def gated_evaluate(scenarios):
+            release.wait(timeout=60)
+            return evaluate(scenarios)
+
+        monkeypatch.setattr(service_module, "evaluate_scenarios", gated_evaluate)
+        small = exec_spec("small", sizes=[4, 5])
+        large = exec_spec("large", sizes=[4, 5, 6, 7])
+        first = service.submit(small)
+
+        probe = service.store.has_many
+        probed: list[int] = []
+
+        def probe_then_finish_the_first_job(hashes):
+            found = probe(hashes)
+            if not probed:
+                probed.append(len(found))
+                release.set()
+                assert service.wait(first, timeout=60)
+            return found
+
+        monkeypatch.setattr(service.store, "has_many", probe_then_finish_the_first_job)
+        second = service.submit(large)
+        assert service.wait(timeout=120)
+        overlap = {s.content_hash() for s in small.expand()} & {
+            s.content_hash() for s in large.expand()
+        }
+        s2 = service.status(second)
+        assert probed == [0]
+        assert s2["status"] == "done"
+        assert s2["store_hits"] == len(overlap)
+        assert s2["executed"] == s2["total"] - len(overlap)
+
     def test_mixed_kind_jobs_coexist(self, service):
         jobs = [service.submit(exec_spec()), service.submit(logic_spec())]
         assert service.wait(timeout=120)

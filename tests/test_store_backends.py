@@ -30,6 +30,7 @@ from repro.campaign import (
     migrate_store,
     open_backend,
     parse_store_uri,
+    report_campaign,
     run_campaign,
 )
 from repro.campaign.store import record_digest
@@ -325,6 +326,81 @@ class TestMigration:
         dst.put(tampered)
         with pytest.raises(StoreError, match="digest"):
             migrate_store(src, dst)
+
+
+class TestStoresFromOlderVersions:
+    """Older versions cached kernel plans beside the records: an ``artifacts``
+    table in sqlite stores, an ``artifacts/plan/`` tree in json stores.  No
+    code reads those leftovers any more; stores holding them must keep working,
+    and new or migrated stores hold nothing but records and manifests."""
+
+    @pytest.mark.parametrize("scheme", sorted(BACKEND_URIS))
+    def test_plan_cache_leftovers_are_never_read(self, tmp_path, scheme):
+        spec = small_spec("older")
+        uri = BACKEND_URIS[scheme](tmp_path)
+        first = run_campaign(spec, uri, log=None)
+        expected_report = report_campaign(ResultStore(uri), spec.name).to_dict()
+
+        key = "ab" + "0" * 62
+        if scheme == "sqlite":
+            conn = sqlite3.connect(tmp_path / "store.db")
+            with conn:
+                conn.execute(
+                    "CREATE TABLE artifacts (kind TEXT NOT NULL, key TEXT NOT NULL, "
+                    "blob BLOB NOT NULL, PRIMARY KEY (kind, key)) WITHOUT ROWID"
+                )
+                conn.execute(
+                    "INSERT INTO artifacts VALUES (?, ?, ?)", ("plan", key, b"not a plan")
+                )
+            conn.close()
+        else:
+            leftover = tmp_path / "store" / "artifacts" / "plan" / key[:2] / f"{key}.bin"
+            leftover.parent.mkdir(parents=True)
+            leftover.write_bytes(b"not a plan")
+
+        rerun = run_campaign(spec, uri, log=None)
+        assert rerun.executed == 0
+        assert rerun.manifest_digest == first.manifest_digest
+        assert report_campaign(ResultStore(uri), spec.name).to_dict() == expected_report
+
+        other = "json" if scheme == "sqlite" else "sqlite"
+        report = migrate_store(uri, BACKEND_URIS[other](tmp_path / "dst"))
+        assert report["records_copied"] == len(spec.expand())
+        assert report["campaigns"] == [
+            {"campaign": spec.name, "manifest_digest": first.manifest_digest}
+        ]
+
+    @pytest.mark.parametrize("scheme", sorted(BACKEND_URIS))
+    def test_new_stores_hold_only_records_and_manifests(self, tmp_path, scheme):
+        def layout(scheme: str, root) -> list[str]:
+            if scheme == "json":
+                return sorted(os.listdir(root / "store"))
+            conn = sqlite3.connect(root / "store.db")
+            try:
+                rows = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+                return sorted(name for (name,) in rows)
+            finally:
+                conn.close()
+
+        expected = {
+            "json": ["campaigns", "index.json", "objects"],
+            "sqlite": ["manifests", "objects"],
+        }
+        spec = small_spec("fresh")
+        run_campaign(spec, BACKEND_URIS[scheme](tmp_path), log=None)
+        other = "json" if scheme == "sqlite" else "sqlite"
+        report = migrate_store(
+            BACKEND_URIS[scheme](tmp_path), BACKEND_URIS[other](tmp_path / "dst")
+        )
+        assert sorted(report) == [
+            "campaigns",
+            "destination",
+            "records_already_present",
+            "records_copied",
+            "source",
+        ]
+        assert layout(scheme, tmp_path) == expected[scheme]
+        assert layout(other, tmp_path / "dst") == expected[other]
 
 
 class TestCli:

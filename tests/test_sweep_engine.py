@@ -12,7 +12,14 @@ inputs and the instance-level delivery-signature deduplication.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -382,6 +389,81 @@ class TestSweepTables:
         run_sweep(fast, instances, stats=second)
         assert second.evaluations == 0, "warm tables answer the whole re-sweep"
         assert second.occurrences == first.occurrences
+
+    @pytest.mark.parametrize("class_name, shape_key", [("MB", "b"), ("VV", 3)])
+    def test_rebuild_rows_are_kept_per_shape(self, class_name, shape_key):
+        """Broadcast sends (key "b") and port sends on a regular topology (key:
+        the degree) go through one lazy row table per shape, which later
+        sweeps over the same tables reuse."""
+        fast = fast_path(make_probe(MODEL_BASES[class_name]))
+        first_graph = random_regular_graph(3, 8, seed=4)
+        run_sweep(
+            fast,
+            [(first_graph, p) for p in adversarial_numberings(first_graph, cap=4, samples=2)],
+        )
+        rows = sweep_tables_for(fast).rebuild_rows
+        assert list(rows) == [shape_key]
+        row_table = rows[shape_key]
+        assert len(row_table) > 0
+        second_graph = random_regular_graph(3, 10, seed=1)
+        instances = [
+            (second_graph, p) for p in adversarial_numberings(second_graph, cap=4, samples=2)
+        ]
+        swept = run_sweep(fast, instances)
+        assert sweep_tables_for(fast).rebuild_rows[shape_key] is row_table
+        assert_identical(
+            swept,
+            run_sweep(make_probe(MODEL_BASES[class_name]), instances, engine="compiled"),
+        )
+
+    def test_fresh_interpreter_reproduces_results_and_stats(self):
+        """Interned ids never reach a result: a sweep in a new interpreter,
+        under another hash seed, gives identical results and dedup figures."""
+        script = """
+import json, random
+from repro.campaign.registry import build_algorithm
+from repro.execution.sweep import SweepStats, run_sweep
+from repro.graphs.generators import cycle_graph, path_graph, star_graph
+from repro.graphs.ports import consistent_port_numbering, random_port_numbering
+from repro.machines.fastpath import fast_path
+
+instances = []
+for graph in (cycle_graph(4), cycle_graph(6), path_graph(5), star_graph(4)):
+    instances.append((graph, consistent_port_numbering(graph)))
+    instances.append((graph, random_port_numbering(graph, rng=random.Random(7))))
+fast = fast_path(build_algorithm("gather-degrees"), memoize_transitions=True)
+stats = SweepStats()
+results = run_sweep(fast, instances, max_rounds=50, stats=stats)
+print(json.dumps({
+    "results": [
+        [
+            sorted([repr(k), repr(v)] for k, v in r.outputs.items()),
+            r.rounds,
+            r.halted,
+            sorted([repr(k), repr(v)] for k, v in r.states.items()),
+        ]
+        for r in results
+    ],
+    "stats": stats.to_dict(),
+}))
+"""
+        env = dict(os.environ)
+        repo = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        payloads = []
+        for hash_seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            payloads.append(json.loads(proc.stdout))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(script, {})
+        in_process = json.loads(out.getvalue())
+        assert payloads[0] == payloads[1] == in_process
+        assert in_process["stats"]["evaluations"] > 0
 
     def test_swept_wrapper_stays_picklable(self):
         """Regression: the lazy rebuild-row tables hold local builder

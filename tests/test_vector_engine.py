@@ -29,6 +29,7 @@ from test_sweep_engine import (  # noqa: E402
     make_probe,
 )
 
+from repro.campaign.registry import build_algorithm  # noqa: E402
 from repro.core import simulate_vector_with_multiset  # noqa: E402
 from repro.execution.engine import ExecutionError, run_iter, run_many  # noqa: E402
 from repro.execution.sweep import SweepStats, run_sweep  # noqa: E402
@@ -135,6 +136,63 @@ class TestNativeProbes:
         assert_identical(
             run_vector(algorithm, instances), run_sweep(algorithm, instances)
         )
+
+    def test_arena_batching_matches_grouped(self):
+        # The padded multi-topology arena (arena=True) against one batch per
+        # topology (arena=False), over mixed families, ports and broadcast.
+        instances = []
+        for graph in (cycle_graph(4), cycle_graph(6), path_graph(5), star_graph(4)):
+            instances.append((graph, consistent_port_numbering(graph)))
+            instances.append((graph, random_port_numbering(graph, rng=random.Random(7))))
+        for name in ("degree", "gather-degrees", "leaf-election"):
+            grouped = run_vector(
+                fast_path(build_algorithm(name), memoize_transitions=True),
+                instances,
+                max_rounds=50,
+                arena=False,
+            )
+            arena = run_vector(
+                fast_path(build_algorithm(name), memoize_transitions=True),
+                instances,
+                max_rounds=50,
+                arena=True,
+            )
+            assert_identical(arena, grouped)
+
+    @pytest.mark.parametrize("name", ["degree", "gather-degrees", "leaf-election"])
+    def test_default_uses_the_arena_only_across_topologies(self, name):
+        from repro import obs
+
+        graph = cycle_graph(6)
+        single = [(graph, consistent_port_numbering(graph))] + [
+            (graph, random_port_numbering(graph, rng=random.Random(seed)))
+            for seed in range(3)
+        ]
+        mixed = single + [
+            (other, consistent_port_numbering(other))
+            for other in (path_graph(5), star_graph(4))
+        ]
+        for batch, arena_batches in ((single, 0), (mixed, 1)):
+            grouped = run_vector(
+                fast_path(build_algorithm(name), memoize_transitions=True),
+                batch,
+                max_rounds=50,
+                arena=False,
+            )
+            obs.reset()
+            obs.enable()
+            try:
+                auto = run_vector(
+                    fast_path(build_algorithm(name), memoize_transitions=True),
+                    batch,
+                    max_rounds=50,
+                )
+                counters = obs.snapshot()["counters"]
+            finally:
+                obs.disable()
+                obs.reset()
+            assert counters.get("vector.arena_batches", 0) == arena_batches
+            assert_identical(auto, grouped)
 
     def test_round_budget_and_zero_rounds(self):
         graph = cycle_graph(5)
