@@ -5,7 +5,7 @@ Two families of measurements:
 * **round trips** -- :func:`repro.modal.correspondence.machine_roundtrip_report`
   for the library machine of each problem class over an adversarial
   numbering sweep, under both backends (the ``runner`` parameter selects
-  ``compiled`` -- packed-int formula-algorithm + bitset model checker +
+  ``compiled`` -- flat-state formula-algorithm + bitset model checker +
   compiled execution engine -- vs ``reference`` -- the seed construction on
   the seed checker and runner).  ``run_all.py`` pairs them into the
   ``correspondence_pairs`` / ``geomean_correspondence_speedup`` figures of

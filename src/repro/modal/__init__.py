@@ -4,8 +4,9 @@
   ``K+-`` and ``K--`` of a port-numbered graph (Section 4.3).
 * :mod:`~repro.modal.formula_to_algorithm` -- Theorem 2, parts 1-2: every
   formula of the appropriate logic is realised by a local algorithm of the
-  matching class, running for ``md(phi) + 1`` rounds; compiled to packed-int
-  transition tables over the hash-consed formula pool.
+  matching class, running for ``md(phi) + 1`` rounds; compiled to flat
+  position tables over the hash-consed formula pool, with one state byte
+  per distinct subformula.
 * :mod:`~repro.modal.algorithm_to_formula` -- Theorem 2, parts 3-4: every
   finite-state local algorithm is captured by a formula whose modal depth is
   the running time, emitted as a shared DAG with a fail-fast size budget.

@@ -257,7 +257,8 @@ def machine_roundtrip_report(
 
     Either ``graphs`` (each swept over its adversarial port numberings,
     consistent-only where the class requires it) or explicit
-    ``(graph, numbering)`` ``pairs`` select the instances.  All three
+    ``(graph, numbering)`` ``pairs`` select the instances; a selection with
+    no instance raises ``ValueError`` instead of agreeing vacuously.  All three
     fronts stream through the batch engines: one superposed adversarial
     sweep per algorithm per graph (``engine="sweep"``, the default), one
     compiled Kripke encoding per numbering for the formula side.  ``engine``
@@ -273,42 +274,6 @@ def machine_roundtrip_report(
     -- so the three fronts (and any fast-path/sweep tables living on them)
     are reused across calls instead of recompiled per call.
     """
-    if formula is None:
-        formula = formula_for_machine(
-            machine,
-            problem_class,
-            running_time,
-            accepting_output=accepting_output,
-            max_formula_nodes=max_formula_nodes,
-        )
-    report = RoundTripReport(
-        problem_class=problem_class,
-        running_time=running_time,
-        modal_depth=modal_depth(formula),
-        dag_size=dag_size(formula),
-        tree_size=tree_size(formula),
-        instances=0,
-    )
-    if graphs is None and pairs is None:
-        raise ValueError(
-            "machine_roundtrip_report needs 'graphs' (adversarial sweep) or "
-            "explicit (graph, numbering) 'pairs'; an empty round trip would "
-            "report agreement vacuously"
-        )
-    logic_engine = logic_engine_for(engine)
-    if algorithms is None:
-        original = algorithm_from_machine(machine.as_state_machine())
-        realized = algorithm_for_formula(formula, problem_class, engine=logic_engine)
-        oracle = (
-            algorithm_for_formula(formula, problem_class, engine="reference")
-            if cross_check and engine != "reference"
-            else None
-        )
-    else:
-        original, realized, oracle = algorithms
-        if not (cross_check and engine != "reference"):
-            oracle = None
-
     if pairs is not None:
         batches: list[tuple[Graph, list[PortNumbering]]] = []
         by_graph: dict[int, int] = {}
@@ -334,6 +299,41 @@ def machine_roundtrip_report(
             )
             for graph in graphs or ()
         ]
+    if not any(numberings for _graph, numberings in batches):
+        raise ValueError(
+            "machine_roundtrip_report needs 'graphs' (adversarial sweep) or "
+            "explicit (graph, numbering) 'pairs' selecting at least one "
+            "instance; an empty round trip would report agreement vacuously"
+        )
+    if formula is None:
+        formula = formula_for_machine(
+            machine,
+            problem_class,
+            running_time,
+            accepting_output=accepting_output,
+            max_formula_nodes=max_formula_nodes,
+        )
+    report = RoundTripReport(
+        problem_class=problem_class,
+        running_time=running_time,
+        modal_depth=modal_depth(formula),
+        dag_size=dag_size(formula),
+        tree_size=tree_size(formula),
+        instances=0,
+    )
+    logic_engine = logic_engine_for(engine)
+    if algorithms is None:
+        original = algorithm_from_machine(machine.as_state_machine())
+        realized = algorithm_for_formula(formula, problem_class, engine=logic_engine)
+        oracle = (
+            algorithm_for_formula(formula, problem_class, engine="reference")
+            if cross_check and engine != "reference"
+            else None
+        )
+    else:
+        original, realized, oracle = algorithms
+        if not (cross_check and engine != "reference"):
+            oracle = None
 
     for graph, numberings in batches:
         instances = [(graph, numbering) for numbering in numberings]

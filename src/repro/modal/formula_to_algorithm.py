@@ -14,14 +14,15 @@ Two implementations share that construction:
 
 * :class:`CompiledFormulaAlgorithm` (the default) compiles the normalised
   formula DAG once into flat position tables over the hash-consed pool
-  (:mod:`repro.logic.syntax`): the three-valued assignment is packed into a
-  single int (one value bit and one known bit per distinct subformula), the
-  Boolean closure is one ascending pass over positions (children come
-  before parents, so no fixpoint loop), and messages are small packed ints.
-  States and messages are tiny hashable values, so the batch execution
-  engine's :class:`~repro.machines.fastpath.FastPathAlgorithm` caches hit
-  across a whole adversarial sweep, and formulas with thousands of shared
-  subterms (the Table 4/5 output) run without recursion limits.
+  (:mod:`repro.logic.syntax`): the three-valued assignment is a flat
+  ``bytes`` with one byte per distinct subformula (its class docstring
+  gives the encoding), the Boolean closure is one ascending pass over
+  positions (children come before parents, so no fixpoint loop), and
+  messages carry one byte per shipped operand.  States and messages are
+  hashable values that cache their hash, so the batch execution engine's
+  :class:`~repro.machines.fastpath.FastPathAlgorithm` caches hit across a
+  whole adversarial sweep, and formulas with thousands of shared subterms
+  (the Table 4/5 output) run without recursion limits.
 * :class:`FormulaAlgorithm` is the seed construction -- dict-of-subformula
   states, an iterate-to-fixpoint Boolean pass -- preserved as the
   differential oracle behind ``engine="reference"``.
@@ -64,6 +65,9 @@ from repro.modal.encoding import STAR, degree_proposition
 
 #: The three-valued "undefined" marker of the paper's construction.
 UNDEFINED = "U"
+
+#: The byte that stands for :data:`UNDEFINED` in a compiled flat state.
+_UNKNOWN = 2
 
 
 def _normalise(formula: Formula) -> Formula:
@@ -372,20 +376,23 @@ class FormulaAlgorithm(Algorithm):
 
 
 class CompiledFormulaAlgorithm(Algorithm):
-    """The formula algorithm compiled to flat tables and packed-int states.
+    """The formula algorithm compiled to flat tables and flat byte states.
 
     The normalised formula's distinct subformulas (pool DAG nodes) get dense
     positions ``0 .. P-1`` in topological order.  A node's state is
-    ``(degree, packed)`` where bit ``p`` of ``packed`` is the truth value of
-    position ``p`` and bit ``P + p`` records whether it is known -- the
-    paper's three-valued assignment as one int.  Messages pack the shipped
-    operand values the same way (two bits per payload slot), tagged with the
-    out-port under port-addressed sending.  The Boolean closure is a single
-    ascending sweep over the precompiled connective schedule: children have
-    smaller positions, so one pass reaches the same fixpoint as the seed's
-    iterate-until-stable loop.  Semantics are bit-for-bit the seed
-    construction's: same gating of modal subformulas on the previous round,
-    same halting rule (all positions known), same outputs.
+    ``(degree, flat)`` where ``flat`` is a ``bytes`` of length ``P`` and byte
+    ``p`` is the value of position ``p``: 0 false, 1 true, 2 unknown -- the
+    paper's three-valued assignment, one byte per subformula.  A known value
+    never changes, so each transition copies ``flat`` once into a
+    ``bytearray``, resolves the modal positions whose operands were known in
+    the *previous* ``flat``, and closes the connectives with a single
+    ascending sweep over the precompiled schedule: children have smaller
+    positions, so one pass reaches the same fixpoint as the seed's
+    iterate-until-stable loop.  Messages carry one byte per shipped operand
+    in the same encoding, tagged with the out-port under port-addressed
+    sending.  Semantics are the seed construction's, state for state: same
+    gating of modal subformulas on the previous round, same halting rule
+    (no byte unknown), same outputs.
     """
 
     model: ClassVar[Model]  # set per instance below
@@ -398,9 +405,7 @@ class CompiledFormulaAlgorithm(Algorithm):
         pool = formula_pool()
         ids = pool.reachable_ids(self._formula.node_id)
         position_of = {node_id: position for position, node_id in enumerate(ids)}
-        count = len(ids)
-        self._count = count
-        self._value_mask = (1 << count) - 1
+        self._count = len(ids)
         self._root = position_of[self._formula.node_id]
 
         atoms: list[tuple[int, int, Any]] = []
@@ -456,7 +461,7 @@ class CompiledFormulaAlgorithm(Algorithm):
 
     @property
     def subformula_count(self) -> int:
-        """The number of distinct subformulas (= packed-state width in bits)."""
+        """The number of distinct subformulas (= state width in bytes)."""
         return self._count
 
     @property
@@ -465,82 +470,63 @@ class CompiledFormulaAlgorithm(Algorithm):
         return modal_depth(self._formula) + 1
 
     # ------------------------------------------------------------------ #
-    # Packed three-valued evaluation
+    # Flat three-valued evaluation
     # ------------------------------------------------------------------ #
 
-    def _boolean_pass(self, values: int, known: int) -> tuple[int, int]:
-        """One ascending sweep resolving every resolvable connective."""
+    def _boolean_pass(self, buf: bytearray) -> None:
+        """One ascending sweep resolving every resolvable connective, in place."""
         for position, kind, kids in self._schedule:
-            bit = 1 << position
-            if known & bit:
+            if buf[position] != _UNKNOWN:
                 continue
             if kind == KIND_NOT:
-                child = kids[0]
-                if known >> child & 1:
-                    known |= bit
-                    if not values >> child & 1:
-                        values |= bit
+                child = buf[kids[0]]
+                if child != _UNKNOWN:
+                    buf[position] = 1 - child
             elif kind == KIND_AND:
-                left, right = kids
-                left_known = known >> left & 1
-                right_known = known >> right & 1
-                if (left_known and not values >> left & 1) or (
-                    right_known and not values >> right & 1
-                ):
-                    known |= bit  # Kleene: one false child settles it
-                elif left_known and right_known:
-                    known |= bit
-                    values |= bit
+                left = buf[kids[0]]
+                right = buf[kids[1]]
+                if left == 0 or right == 0:
+                    buf[position] = 0  # Kleene: one false child settles it
+                elif left == 1 and right == 1:
+                    buf[position] = 1
             else:  # KIND_OR
-                left, right = kids
-                left_known = known >> left & 1
-                right_known = known >> right & 1
-                if (left_known and values >> left & 1) or (
-                    right_known and values >> right & 1
-                ):
-                    known |= bit
-                    values |= bit
-                elif left_known and right_known:
-                    known |= bit
-        return values, known
+                left = buf[kids[0]]
+                right = buf[kids[1]]
+                if left == 1 or right == 1:
+                    buf[position] = 1
+                elif left == 0 and right == 0:
+                    buf[position] = 0
 
-    def _wrap(self, degree: int, values: int, known: int) -> Any:
-        if known == self._value_mask:  # every position known -> halt
-            return Output(values >> self._root & 1)
-        return (degree, values | known << self._count)
+    def _wrap(self, degree: int, buf: bytearray) -> Any:
+        if _UNKNOWN in buf:
+            return (degree, bytes(buf))
+        return Output(buf[self._root])  # every position known -> halt
 
     # ------------------------------------------------------------------ #
     # Algorithm interface
     # ------------------------------------------------------------------ #
 
     def initial_state(self, degree: int) -> Any:
-        values = 0
-        known = 0
+        buf = bytearray([_UNKNOWN]) * self._count
         degree_prop = degree_proposition(degree)
         for position, kind, payload in self._atoms:
-            known |= 1 << position
-            if kind == KIND_TOP or (kind == KIND_PROP and payload == degree_prop):
-                values |= 1 << position
-        values, known = self._boolean_pass(values, known)
-        return self._wrap(degree, values, known)
+            true = kind == KIND_TOP or (kind == KIND_PROP and payload == degree_prop)
+            buf[position] = 1 if true else 0
+        self._boolean_pass(buf)
+        return self._wrap(degree, buf)
 
-    def _payload(self, values: int, known: int) -> int:
-        packed = 0
-        for slot, position in enumerate(self._payload_positions):
-            packed |= (known >> position & 1) << (2 * slot + 1)
-            packed |= (values >> position & 1) << (2 * slot)
-        return packed
+    def _payload(self, flat: bytes) -> bytes:
+        return bytes([flat[position] for position in self._payload_positions])
 
     def send(self, state: Any, port: int) -> Any:
-        degree, packed = state
-        payload = self._payload(packed & self._value_mask, packed >> self._count)
+        _degree, flat = state
         if self.model.send is SendMode.BROADCAST:
-            return payload
-        return (port, payload)
+            return self._payload(flat)
+        return (port, self._payload(flat))
 
     def broadcast(self, state: Any) -> Any:
-        _degree, packed = state
-        return self._payload(packed & self._value_mask, packed >> self._count)
+        _degree, flat = state
+        return self._payload(flat)
 
     def _operand_true(self, message: Any, slot: int) -> bool:
         """Whether the sender knew the operand true (m0 counts as false)."""
@@ -549,7 +535,7 @@ class CompiledFormulaAlgorithm(Algorithm):
         payload = message
         if self.model.send is SendMode.PORT:
             payload = message[1]
-        return payload >> (2 * slot) & 3 == 3  # known and true
+        return payload[slot] == 1
 
     def _message_out_port(self, message: Any) -> int | None:
         if message == NO_MESSAGE or message is None:
@@ -603,25 +589,17 @@ class CompiledFormulaAlgorithm(Algorithm):
         return 1 if exists else 0
 
     def transition(self, state: Any, received: Any) -> Any:
-        degree, packed = state
-        count = self._count
-        prev_known = packed >> count
-        values = packed & self._value_mask
-        known = prev_known
+        degree, flat = state
+        buf = bytearray(flat)
         for entry in self._modal:
-            position = entry[0]
-            if prev_known >> position & 1:
+            # The gate reads the *previous* round's flat: received payloads
+            # carry the senders' previous-round values (the paper's condition
+            # "f(theta) != U").
+            if flat[entry[0]] != _UNKNOWN or flat[entry[1]] == _UNKNOWN:
                 continue
-            # The gate uses the *previous* round's knowledge of the operand:
-            # received payloads carry the senders' previous-round values
-            # (the paper's condition "f(theta) != U").
-            if not prev_known >> entry[1] & 1:
-                continue
-            known |= 1 << position
-            if self._resolve_modal(entry, degree, received):
-                values |= 1 << position
-        values, known = self._boolean_pass(values, known)
-        return self._wrap(degree, values, known)
+            buf[entry[0]] = self._resolve_modal(entry, degree, received)
+        self._boolean_pass(buf)
+        return self._wrap(degree, buf)
 
 
 #: Formula-algorithm backends selectable by the engine knob (registry order).
@@ -633,7 +611,7 @@ def algorithm_for_formula(
 ) -> Algorithm:
     """The local algorithm realising ``formula`` in ``problem_class``.
 
-    ``engine="compiled"`` returns the packed-int
+    ``engine="compiled"`` returns the flat-state
     :class:`CompiledFormulaAlgorithm`; ``engine="reference"`` the seed
     :class:`FormulaAlgorithm`, kept as the differential oracle.
     ``engine="vector"`` shares the compiled realisation: the emitted

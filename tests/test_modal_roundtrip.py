@@ -84,6 +84,15 @@ def test_roundtrip_without_instances_is_rejected():
         machine_roundtrip_report(machine, ProblemClass.SB, running_time=1)
 
 
+@pytest.mark.parametrize("selection", ["pairs", "graphs"])
+def test_roundtrip_with_an_empty_selection_is_rejected(selection):
+    """An empty ``pairs`` or ``graphs`` selects no instance: it must raise
+    like the None/None case, not report ``agree=True`` over 0 instances."""
+    machine = reference_machine(ProblemClass.SB, delta=2)
+    with pytest.raises(ValueError, match="at least one instance"):
+        machine_roundtrip_report(machine, ProblemClass.SB, running_time=1, **{selection: []})
+
+
 @pytest.mark.parametrize("problem_class", ALL_CLASSES, ids=str)
 def test_two_round_machine_roundtrip(problem_class):
     report = machine_roundtrip_report(
