@@ -37,71 +37,98 @@ Quickstart::
     print(result.outputs)   # every node counted its two neighbours
 """
 
-from repro.graphs import (
-    Graph,
-    PortNumbering,
-    all_port_numberings,
-    complete_graph,
-    consistent_port_numbering,
-    cycle_graph,
-    figure9_graph,
-    path_graph,
-    random_port_numbering,
-    star_graph,
-    symmetric_port_numbering,
-)
-from repro.machines import (
-    Algorithm,
-    BroadcastAlgorithm,
-    FrozenMultiset,
-    Model,
-    MultisetAlgorithm,
-    MultisetBroadcastAlgorithm,
-    ProblemClass,
-    ReceiveMode,
-    SendMode,
-    SetAlgorithm,
-    SetBroadcastAlgorithm,
-    VectorAlgorithm,
-)
-from repro.machines.algorithm import Output
-from repro.engines import available_engines, resolve_engine
-from repro.execution import CompiledInstance, ExecutionResult, run, run_many
-from repro.logic import KripkeModel, extension, parse_formula, satisfies
-from repro.modal import algorithm_for_formula, formula_for_machine, kripke_encoding
-from repro.core import (
-    simulate_broadcast_with_multiset_broadcast,
-    simulate_multiset_with_set,
-    simulate_vector_with_multiset,
-    summary,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-#: Campaign API resolved lazily: the subsystem pulls in the algorithm and
-#: logic layers, which ``import repro`` should not pay for up front.
-_CAMPAIGN_EXPORTS = (
-    "CampaignSpec",
-    "GraphGrid",
-    "ResultStore",
-    "Scenario",
-    "builtin_spec",
-    "run_campaign",
+
+def _lazy_exports(package: str, exports: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package whose exports load on use.
+
+    ``exports`` maps each exported name to the module that defines it,
+    relative to ``package``.  The first access to a name imports that module
+    and caches the value in the package namespace, so ``__getattr__`` runs
+    once per name.  A direct submodule that ``exports`` refers to resolves
+    to the module itself, as it would once imported.  Every package
+    ``__init__`` of ``repro`` that exports lazily goes through this helper.
+    """
+    namespace = vars(sys.modules[package])
+    submodules = {module.split(".")[1] for module in exports.values()}
+
+    def __getattr__(name: str) -> object:
+        if name in exports:
+            value = getattr(importlib.import_module(exports[name], package), name)
+        elif name in submodules:
+            value = importlib.import_module(f".{name}", package)
+        else:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+# ``import repro`` loads no subpackage: each name below is imported from its
+# subpackage on first use.  The campaign names resolve the same way but stay
+# out of ``__all__``, so a star-import does not pull in the campaign
+# subsystem; they remain reachable as ``repro.CampaignSpec`` etc.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "Graph": ".graphs",
+        "PortNumbering": ".graphs",
+        "all_port_numberings": ".graphs",
+        "complete_graph": ".graphs",
+        "consistent_port_numbering": ".graphs",
+        "cycle_graph": ".graphs",
+        "figure9_graph": ".graphs",
+        "path_graph": ".graphs",
+        "random_port_numbering": ".graphs",
+        "star_graph": ".graphs",
+        "symmetric_port_numbering": ".graphs",
+        "Algorithm": ".machines",
+        "BroadcastAlgorithm": ".machines",
+        "FrozenMultiset": ".machines",
+        "Model": ".machines",
+        "MultisetAlgorithm": ".machines",
+        "MultisetBroadcastAlgorithm": ".machines",
+        "ProblemClass": ".machines",
+        "ReceiveMode": ".machines",
+        "SendMode": ".machines",
+        "SetAlgorithm": ".machines",
+        "SetBroadcastAlgorithm": ".machines",
+        "VectorAlgorithm": ".machines",
+        "Output": ".machines.algorithm",
+        "available_engines": ".engines",
+        "resolve_engine": ".engines",
+        "CompiledInstance": ".execution",
+        "ExecutionResult": ".execution",
+        "run": ".execution",
+        "run_many": ".execution",
+        "KripkeModel": ".logic",
+        "extension": ".logic",
+        "parse_formula": ".logic",
+        "satisfies": ".logic",
+        "algorithm_for_formula": ".modal",
+        "formula_for_machine": ".modal",
+        "kripke_encoding": ".modal",
+        "simulate_broadcast_with_multiset_broadcast": ".core",
+        "simulate_multiset_with_set": ".core",
+        "simulate_vector_with_multiset": ".core",
+        "summary": ".core",
+        "CampaignSpec": ".campaign",
+        "GraphGrid": ".campaign",
+        "ResultStore": ".campaign",
+        "Scenario": ".campaign",
+        "builtin_spec": ".campaign",
+        "run_campaign": ".campaign",
+    },
 )
 
-
-def __getattr__(name: str):
-    if name == "campaign" or name in _CAMPAIGN_EXPORTS:
-        import importlib
-
-        campaign = importlib.import_module("repro.campaign")
-        return campaign if name == "campaign" else getattr(campaign, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# The campaign names stay out of __all__ deliberately: a star-import would
-# otherwise trigger __getattr__ for each of them and eagerly pull in the whole
-# subsystem.  They remain reachable as ``repro.CampaignSpec`` etc.
 __all__ = [
     "Graph",
     "PortNumbering",

@@ -14,18 +14,24 @@ These are the executable witnesses used throughout the experiments:
   (Section 3.3 motivation).
 """
 
-from repro.algorithms.basic import (
-    ConstantAlgorithm,
-    DegreeAlgorithm,
-    GatherDegreesAlgorithm,
-    NeighbourDegreeSumAlgorithm,
-    PortEchoAlgorithm,
-    RoundCounterAlgorithm,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "ConstantAlgorithm": ".basic",
+        "DegreeAlgorithm": ".basic",
+        "GatherDegreesAlgorithm": ".basic",
+        "NeighbourDegreeSumAlgorithm": ".basic",
+        "PortEchoAlgorithm": ".basic",
+        "RoundCounterAlgorithm": ".basic",
+        "OddOddNeighboursAlgorithm": ".parity",
+        "SomeOddNeighbourAlgorithm": ".parity",
+        "LeafElectionAlgorithm": ".leaf_election",
+        "LocalTypeSymmetryBreaking": ".local_types",
+        "DoubleCoverMatchingVertexCover": ".vertex_cover",
+    },
 )
-from repro.algorithms.parity import OddOddNeighboursAlgorithm, SomeOddNeighbourAlgorithm
-from repro.algorithms.leaf_election import LeafElectionAlgorithm
-from repro.algorithms.local_types import LocalTypeSymmetryBreaking
-from repro.algorithms.vertex_cover import DoubleCoverMatchingVertexCover
 
 __all__ = [
     "ConstantAlgorithm",

@@ -31,45 +31,50 @@ A campaign turns "imagine a scenario" into a sharded, cached, resumable run:
   specs.
 """
 
-from repro.campaign.aggregate import (
-    CampaignRollup,
-    campaign_result,
-    load_records,
-    report_campaign,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "CampaignRollup": ".aggregate",
+        "campaign_result": ".aggregate",
+        "load_records": ".aggregate",
+        "report_campaign": ".aggregate",
+        "BACKENDS": ".backends",
+        "JsonBackend": ".backends",
+        "SqliteBackend": ".backends",
+        "StoreBackend": ".backends",
+        "StoreError": ".backends",
+        "migrate_store": ".backends",
+        "open_backend": ".backends",
+        "parse_store_uri": ".backends",
+        "BUILTIN_CAMPAIGNS": ".builtin",
+        "builtin_spec": ".builtin",
+        "CampaignRun": ".executor",
+        "evaluate_scenarios": ".executor",
+        "run_campaign": ".executor",
+        "CampaignService": ".service",
+        "CampaignServiceServer": ".service",
+        "ServiceClient": ".service",
+        "ServiceError": ".service",
+        "ALGORITHMS": ".registry",
+        "FORMULA_SETS": ".registry",
+        "GRAPH_FAMILIES": ".registry",
+        "MACHINES": ".registry",
+        "MODEL_DEFAULT_ALGORITHMS": ".registry",
+        "PORT_STRATEGIES": ".registry",
+        "GraphFamily": ".registry",
+        "MachineWorkload": ".registry",
+        "build_graph": ".registry",
+        "machine_workload": ".registry",
+        "register_graph_family": ".registry",
+        "CampaignSpec": ".spec",
+        "GraphGrid": ".spec",
+        "Scenario": ".spec",
+        "ResultStore": ".store",
+        "record_digest": ".store",
+    },
 )
-from repro.campaign.backends import (
-    BACKENDS,
-    JsonBackend,
-    SqliteBackend,
-    StoreBackend,
-    StoreError,
-    migrate_store,
-    open_backend,
-    parse_store_uri,
-)
-from repro.campaign.builtin import BUILTIN_CAMPAIGNS, builtin_spec
-from repro.campaign.executor import CampaignRun, evaluate_scenarios, run_campaign
-from repro.campaign.service import (
-    CampaignService,
-    CampaignServiceServer,
-    ServiceClient,
-    ServiceError,
-)
-from repro.campaign.registry import (
-    ALGORITHMS,
-    FORMULA_SETS,
-    GRAPH_FAMILIES,
-    MACHINES,
-    MODEL_DEFAULT_ALGORITHMS,
-    PORT_STRATEGIES,
-    GraphFamily,
-    MachineWorkload,
-    build_graph,
-    machine_workload,
-    register_graph_family,
-)
-from repro.campaign.spec import CampaignSpec, GraphGrid, Scenario
-from repro.campaign.store import ResultStore, record_digest
 
 __all__ = [
     "ALGORITHMS",

@@ -54,12 +54,6 @@ from repro.campaign.aggregate import campaign_result, load_records
 from repro.campaign.backends import migrate_store
 from repro.campaign.builtin import BUILTIN_CAMPAIGNS, builtin_spec
 from repro.campaign.executor import run_campaign
-from repro.campaign.service import (
-    CampaignService,
-    CampaignServiceServer,
-    ServiceClient,
-    ServiceError,
-)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, StoreError
 from repro.experiments.report import format_report
@@ -126,7 +120,9 @@ def _print_report(
     return result.all_match
 
 
-def _client(args: argparse.Namespace) -> ServiceClient:
+def _client(args: argparse.Namespace):
+    from repro.campaign.service import ServiceClient
+
     host, port = args.host, args.port
     if args.port_file:
         try:
@@ -307,6 +303,8 @@ def main(argv: list[str]) -> int:
         return 0
 
     if args.command == "serve":
+        from repro.campaign.service import CampaignService, CampaignServiceServer
+
         # Metrics are on by default for the long-lived service: the whole
         # point of the `metrics` verb / status snapshot is live introspection.
         if not args.no_metrics:
@@ -332,6 +330,8 @@ def main(argv: list[str]) -> int:
         return 0
 
     if args.command in ("submit", "status", "cancel", "metrics"):
+        from repro.campaign.service import ServiceError
+
         with _client(args) as client:
             try:
                 if args.command == "metrics":

@@ -29,7 +29,6 @@ to a serial run's.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -43,15 +42,9 @@ from repro.engines.registry import resolve_engine
 from repro.execution.engine import logic_engine_for, run_iter
 from repro.graphs.graph import Graph
 from repro.graphs.ports import PortNumbering
-from repro.logic.bisimulation import bisimilarity_partition
-from repro.logic.engine import check_many
 from repro.machines.fastpath import fast_path
 from repro.machines.models import ProblemClass
 from repro.machines.state_machine import algorithm_from_machine
-from repro.modal.algorithm_to_formula import formula_for_machine
-from repro.modal.correspondence import machine_roundtrip_report
-from repro.modal.formula_to_algorithm import algorithm_for_formula
-from repro.modal.encoding import KripkeVariant, kripke_encoding, variant_for_class
 from repro.obs import init_worker as _obs_init_worker, worker_config as _obs_worker_config
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -264,6 +257,10 @@ def _execution_records(scenarios: list[Scenario]) -> dict[str, dict[str, Any]]:
 
 def _logic_record(scenario: Scenario) -> dict[str, Any]:
     """Evaluate one logic scenario: check_many + bisimilarity invariance."""
+    from repro.logic.bisimulation import bisimilarity_partition
+    from repro.logic.engine import check_many
+    from repro.modal.encoding import KripkeVariant, kripke_encoding, variant_for_class
+
     started = time.perf_counter()
     graph, numbering = _materialize(scenario)
     if scenario.model_class is not None:
@@ -310,6 +307,10 @@ def _correspondence_record(scenario: Scenario) -> dict[str, Any]:
     algorithms (with their warm fast-path/sweep tables) is what keeps a
     sweep over many numberings of one graph family cheap.
     """
+    from repro.modal.algorithm_to_formula import formula_for_machine
+    from repro.modal.correspondence import machine_roundtrip_report
+    from repro.modal.formula_to_algorithm import algorithm_for_formula
+
     started = time.perf_counter()
     graph, numbering = _materialize(scenario)
     problem_class = ProblemClass(scenario.model_class)
@@ -516,6 +517,8 @@ def run_campaign(
     ) as run_span:
         if pending:
             if workers and workers > 1 and len(pending) > 1:
+                import multiprocessing
+
                 shard_count = min(workers, len(pending))
                 shards = [pending[i::shard_count] for i in range(shard_count)]
                 with multiprocessing.Pool(

@@ -9,34 +9,35 @@
   concrete graphs.
 """
 
-from repro.core.hierarchy import (
-    LEVEL_NAMES,
-    LINEAR_ORDER,
-    PROVEN_EQUALITIES,
-    PROVEN_SEPARATIONS,
-    HierarchySummary,
-    are_equal,
-    collapse,
-    distinct_levels,
-    is_contained_in,
-    is_strictly_contained_in,
-    level_of,
-    separation_between,
-    summary,
-    trivially_contained_in,
-)
-from repro.core.classification import (
-    ClassificationReport,
-    ContainmentEvidence,
-    SeparationEvidence,
-)
-from repro.core.simulations import (
-    MultisetBroadcastSimulationOfBroadcast,
-    MultisetSimulationOfVector,
-    SetSimulationOfMultiset,
-    simulate_broadcast_with_multiset_broadcast,
-    simulate_multiset_with_set,
-    simulate_vector_with_multiset,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "LEVEL_NAMES": ".hierarchy",
+        "LINEAR_ORDER": ".hierarchy",
+        "PROVEN_EQUALITIES": ".hierarchy",
+        "PROVEN_SEPARATIONS": ".hierarchy",
+        "HierarchySummary": ".hierarchy",
+        "are_equal": ".hierarchy",
+        "collapse": ".hierarchy",
+        "distinct_levels": ".hierarchy",
+        "is_contained_in": ".hierarchy",
+        "is_strictly_contained_in": ".hierarchy",
+        "level_of": ".hierarchy",
+        "separation_between": ".hierarchy",
+        "summary": ".hierarchy",
+        "trivially_contained_in": ".hierarchy",
+        "ClassificationReport": ".classification",
+        "ContainmentEvidence": ".classification",
+        "SeparationEvidence": ".classification",
+        "MultisetBroadcastSimulationOfBroadcast": ".simulations",
+        "MultisetSimulationOfVector": ".simulations",
+        "SetSimulationOfMultiset": ".simulations",
+        "simulate_broadcast_with_multiset_broadcast": ".simulations",
+        "simulate_multiset_with_set": ".simulations",
+        "simulate_vector_with_multiset": ".simulations",
+    },
 )
 
 __all__ = [

@@ -19,24 +19,29 @@
   sampled) port numberings of a graph.
 """
 
-from repro.execution.engine import (
-    CompiledInstance,
-    ExecutionError,
-    ExecutionResult,
-    compile_instance,
-    execute,
-    run_iter,
-    run_many,
-)
-from repro.execution.runner import run
-from repro.execution.legacy import run_reference
-from repro.execution.sweep import SweepStats, run_sweep
-from repro.execution.trace import Trace, message_size
-from repro.execution.vector import run_vector
-from repro.execution.adversary import (
-    AdversarialOutcome,
-    outputs_over_port_numberings,
-    port_numberings_to_check,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "CompiledInstance": ".engine",
+        "ExecutionError": ".engine",
+        "ExecutionResult": ".engine",
+        "compile_instance": ".engine",
+        "execute": ".engine",
+        "run_iter": ".engine",
+        "run_many": ".engine",
+        "run": ".runner",
+        "run_reference": ".legacy",
+        "SweepStats": ".sweep",
+        "run_sweep": ".sweep",
+        "Trace": ".trace",
+        "message_size": ".trace",
+        "run_vector": ".vector",
+        "AdversarialOutcome": ".adversary",
+        "outputs_over_port_numberings": ".adversary",
+        "port_numberings_to_check": ".adversary",
+    },
 )
 
 __all__ = [

@@ -34,7 +34,6 @@ only once.
 
 from __future__ import annotations
 
-import multiprocessing
 import weakref
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -626,6 +625,8 @@ def run_iter(
         return
 
     if workers and workers > 1 and len(items) > 1:
+        import multiprocessing
+
         pool_size = min(workers, len(items))
         chunksize = max(1, len(items) // (pool_size * 4))
         with multiprocessing.Pool(

@@ -10,7 +10,21 @@ regenerates one figure/theorem/lemma and returns an
 to regenerate the whole EXPERIMENTS.md table.
 """
 
-from repro.experiments.report import ExperimentResult, Row, format_report
+from repro import _lazy_exports
+
+# The registry imports the experiment modules, which in turn import large
+# parts of the library; it loads only when one of its names is used.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "ExperimentResult": ".report",
+        "Row": ".report",
+        "format_report": ".report",
+        "EXPERIMENTS": ".registry",
+        "run_all_experiments": ".registry",
+        "run_experiment": ".registry",
+    },
+)
 
 __all__ = [
     "ExperimentResult",
@@ -20,13 +34,3 @@ __all__ = [
     "run_all_experiments",
     "run_experiment",
 ]
-
-
-def __getattr__(name: str):
-    # The registry imports the experiment modules, which in turn import large
-    # parts of the library; resolve it lazily to keep ``import repro`` cheap.
-    if name in {"EXPERIMENTS", "run_all_experiments", "run_experiment"}:
-        from repro.experiments import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,42 +15,41 @@ This subpackage provides every graph-theoretic object the paper relies on:
   Lemma 15 / Figure 8 and symmetric port numberings of regular graphs.
 """
 
-from repro.graphs.graph import Graph
-from repro.graphs.ports import (
-    PortNumbering,
-    all_port_numberings,
-    consistent_port_numbering,
-    local_type,
-    random_port_numbering,
-)
-from repro.graphs.generators import (
-    circulant_graph,
-    complete_bipartite_graph,
-    complete_graph,
-    cycle_graph,
-    double_cover_graph,
-    figure9_graph,
-    from_networkx,
-    grid_graph,
-    hypercube_graph,
-    odd_odd_gadget_pair,
-    path_graph,
-    random_lift,
-    random_regular_graph,
-    random_tree,
-    star_graph,
-    torus_graph,
-)
-from repro.graphs.matching import (
-    has_perfect_matching,
-    maximum_matching,
-    minimum_vertex_cover,
-    one_factorisation,
-)
-from repro.graphs.covers import (
-    bipartite_double_cover,
-    local_view,
-    symmetric_port_numbering,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "Graph": ".graph",
+        "PortNumbering": ".ports",
+        "all_port_numberings": ".ports",
+        "consistent_port_numbering": ".ports",
+        "local_type": ".ports",
+        "random_port_numbering": ".ports",
+        "circulant_graph": ".generators",
+        "complete_bipartite_graph": ".generators",
+        "complete_graph": ".generators",
+        "cycle_graph": ".generators",
+        "double_cover_graph": ".generators",
+        "figure9_graph": ".generators",
+        "from_networkx": ".generators",
+        "grid_graph": ".generators",
+        "hypercube_graph": ".generators",
+        "odd_odd_gadget_pair": ".generators",
+        "path_graph": ".generators",
+        "random_lift": ".generators",
+        "random_regular_graph": ".generators",
+        "random_tree": ".generators",
+        "star_graph": ".generators",
+        "torus_graph": ".generators",
+        "has_perfect_matching": ".matching",
+        "maximum_matching": ".matching",
+        "minimum_vertex_cover": ".matching",
+        "one_factorisation": ".matching",
+        "bipartite_double_cover": ".covers",
+        "local_view": ".covers",
+        "symmetric_port_numbering": ".covers",
+    },
 )
 
 __all__ = [

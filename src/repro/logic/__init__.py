@@ -21,34 +21,42 @@ implementations are preserved as differential oracles and every public
 entry point takes an ``engine="compiled" | "reference"`` knob.
 """
 
-from repro.logic.syntax import (
-    And,
-    Bottom,
-    Box,
-    Diamond,
-    Formula,
-    GradedDiamond,
-    Implies,
-    Not,
-    Or,
-    Prop,
-    Top,
-    conjunction,
-    disjunction,
-    logic_of,
-    modal_depth,
-)
-from repro.logic.kripke import KripkeModel
-from repro.logic.engine import CompiledKripke, check_many, check_sweep, compile_kripke
-from repro.logic.semantics import equivalent_on, extension, satisfies
-from repro.logic.parser import parse_formula
-from repro.logic.bisimulation import (
-    are_bisimilar,
-    bisimilarity_partition,
-    bisimilar_within,
-    bounded_bisimilarity_partition,
-    is_bisimulation,
-    is_graded_bisimulation,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "And": ".syntax",
+        "Bottom": ".syntax",
+        "Box": ".syntax",
+        "Diamond": ".syntax",
+        "Formula": ".syntax",
+        "GradedDiamond": ".syntax",
+        "Implies": ".syntax",
+        "Not": ".syntax",
+        "Or": ".syntax",
+        "Prop": ".syntax",
+        "Top": ".syntax",
+        "conjunction": ".syntax",
+        "disjunction": ".syntax",
+        "logic_of": ".syntax",
+        "modal_depth": ".syntax",
+        "KripkeModel": ".kripke",
+        "CompiledKripke": ".engine",
+        "check_many": ".engine",
+        "check_sweep": ".engine",
+        "compile_kripke": ".engine",
+        "equivalent_on": ".semantics",
+        "extension": ".semantics",
+        "satisfies": ".semantics",
+        "parse_formula": ".parser",
+        "are_bisimilar": ".bisimulation",
+        "bisimilarity_partition": ".bisimulation",
+        "bisimilar_within": ".bisimulation",
+        "bounded_bisimilarity_partition": ".bisimulation",
+        "is_bisimulation": ".bisimulation",
+        "is_graded_bisimulation": ".bisimulation",
+    },
 )
 
 __all__ = [

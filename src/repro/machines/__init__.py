@@ -16,36 +16,39 @@
   pipeline.
 """
 
-from repro.machines.models import (
-    ALGORITHM_MODELS,
-    Model,
-    ProblemClass,
-    ReceiveMode,
-    SendMode,
-)
-from repro.machines.multiset import FrozenMultiset
-from repro.machines.algorithm import (
-    Algorithm,
-    BroadcastAlgorithm,
-    MultisetAlgorithm,
-    MultisetBroadcastAlgorithm,
-    SetAlgorithm,
-    SetBroadcastAlgorithm,
-    VectorAlgorithm,
-)
-from repro.machines.state_machine import (
-    FiniteStateMachine,
-    StateMachine,
-    algorithm_from_machine,
-    machine_from_algorithm,
-)
-from repro.machines.adapters import ModelUpcast, as_model
-from repro.machines.fastpath import FastPathAlgorithm, fast_path
-from repro.machines.library import class_view, random_machine, reference_machine
-from repro.machines.inspection import (
-    is_broadcast_machine,
-    respects_multiset_semantics,
-    respects_set_semantics,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "ALGORITHM_MODELS": ".models",
+        "Model": ".models",
+        "ProblemClass": ".models",
+        "ReceiveMode": ".models",
+        "SendMode": ".models",
+        "FrozenMultiset": ".multiset",
+        "Algorithm": ".algorithm",
+        "BroadcastAlgorithm": ".algorithm",
+        "MultisetAlgorithm": ".algorithm",
+        "MultisetBroadcastAlgorithm": ".algorithm",
+        "SetAlgorithm": ".algorithm",
+        "SetBroadcastAlgorithm": ".algorithm",
+        "VectorAlgorithm": ".algorithm",
+        "FiniteStateMachine": ".state_machine",
+        "StateMachine": ".state_machine",
+        "algorithm_from_machine": ".state_machine",
+        "machine_from_algorithm": ".state_machine",
+        "ModelUpcast": ".adapters",
+        "as_model": ".adapters",
+        "FastPathAlgorithm": ".fastpath",
+        "fast_path": ".fastpath",
+        "class_view": ".library",
+        "random_machine": ".library",
+        "reference_machine": ".library",
+        "is_broadcast_machine": ".inspection",
+        "respects_multiset_semantics": ".inspection",
+        "respects_set_semantics": ".inspection",
+    },
 )
 
 __all__ = [

@@ -15,28 +15,27 @@
   E4 and the campaign subsystem's ``correspondence`` scenarios.
 """
 
-from repro.modal.encoding import (
-    KripkeVariant,
-    degree_proposition,
-    kripke_encoding,
-    signature_indices,
-    variant_for_class,
-)
-from repro.modal.formula_to_algorithm import (
-    CompiledFormulaAlgorithm,
-    FormulaAlgorithm,
-    algorithm_for_formula,
-)
-from repro.modal.algorithm_to_formula import (
-    FormulaSizeError,
-    formula_for_machine,
-    predict_formula_nodes,
-)
-from repro.modal.correspondence import (
-    RoundTripReport,
-    algorithm_matches_formula,
-    formula_output,
-    machine_roundtrip_report,
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "KripkeVariant": ".encoding",
+        "degree_proposition": ".encoding",
+        "kripke_encoding": ".encoding",
+        "signature_indices": ".encoding",
+        "variant_for_class": ".encoding",
+        "CompiledFormulaAlgorithm": ".formula_to_algorithm",
+        "FormulaAlgorithm": ".formula_to_algorithm",
+        "algorithm_for_formula": ".formula_to_algorithm",
+        "FormulaSizeError": ".algorithm_to_formula",
+        "formula_for_machine": ".algorithm_to_formula",
+        "predict_formula_nodes": ".algorithm_to_formula",
+        "RoundTripReport": ".correspondence",
+        "algorithm_matches_formula": ".correspondence",
+        "formula_output": ".correspondence",
+        "machine_roundtrip_report": ".correspondence",
+    },
 )
 
 __all__ = [

@@ -39,7 +39,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "report":
-        events = load_trace(args.trace)
+        try:
+            events = load_trace(args.trace)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"error: cannot read trace file {args.trace!r}: {error}") from None
         aggregates = aggregate_spans(events)
         if args.json:
             json.dump({"events": len(events), "spans": aggregates}, sys.stdout, indent=2)
@@ -50,8 +53,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "prom":
-        with open(args.snapshot, "r", encoding="utf-8") as handle:
-            snap = json.load(handle)
+        try:
+            with open(args.snapshot, "r", encoding="utf-8") as handle:
+                snap = json.load(handle)
+        except (OSError, ValueError) as error:
+            raise SystemExit(
+                f"error: cannot read snapshot file {args.snapshot!r}: {error}"
+            ) from None
+        if not isinstance(snap, dict):
+            raise SystemExit(f"error: {args.snapshot!r} is not a metrics snapshot")
         if "metrics" in snap and isinstance(snap["metrics"], dict):
             snap = snap["metrics"]
         sys.stdout.write(prometheus_text(snap))

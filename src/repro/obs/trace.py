@@ -6,9 +6,9 @@ A span is opened with the :func:`span` context manager::
         ...
         sp.set(evaluations=evaluations)
 
-When tracing is not configured the context manager yields a shared no-op
-span and does nothing else, so instrumented code needs no gating of its
-own.  When configured, one JSON event is emitted at span *exit* carrying
+When tracing is not configured :func:`span` returns one shared no-op span
+and does nothing else, so instrumented code needs no gating of its own.
+When configured, one JSON event is emitted at span *exit* carrying
 monotonic start/end timestamps, the parent span id (spans nest per
 thread), the pid, and any attributes.
 
@@ -26,8 +26,7 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "Span",
@@ -54,19 +53,44 @@ _tls = threading.local()
 
 
 class Span:
+    """A traced span: entering starts the clock, exiting emits its event."""
+
     __slots__ = ("name", "span_id", "parent_id", "start", "attrs")
 
-    def __init__(self, name: str, span_id: str, parent_id: str | None, **attrs: Any) -> None:
+    def __init__(self, name: str, attrs: dict[str, Any]) -> None:
         self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start = time.monotonic()
-        self.attrs = dict(attrs)
+        self.attrs = attrs
 
     def set(self, **attrs: Any) -> None:
         """Attach (or overwrite) attributes before the span closes."""
 
         self.attrs.update(attrs)
+
+    def __enter__(self) -> "Span":
+        stack = _stack()
+        self.parent_id = stack[-1].span_id if stack else None
+        self.span_id = f"{os.getpid()}-{next(_ids)}"
+        self.start = time.monotonic()
+        stack.append(self)
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        _stack().pop()
+        end = time.monotonic()
+        _emit(
+            {
+                "name": self.name,
+                "span": self.span_id,
+                "parent": self.parent_id,
+                "pid": os.getpid(),
+                "thread": threading.current_thread().name,
+                "t_start": self.start,
+                "t_end": end,
+                "dur_s": end - self.start,
+                "wall": time.time(),
+                "attrs": self.attrs,
+            }
+        )
 
 
 class _NoopSpan:
@@ -77,6 +101,12 @@ class _NoopSpan:
     attrs: dict[str, Any] = {}
 
     def set(self, **attrs: Any) -> None:
+        pass
+
+    def __enter__(self) -> "_NoopSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
         pass
 
 
@@ -175,31 +205,9 @@ def _emit(event: dict[str, Any]) -> None:
                 pass
 
 
-@contextmanager
-def span(name: str, **attrs: Any) -> Iterator[Span | _NoopSpan]:
+def span(name: str, **attrs: Any) -> Span | _NoopSpan:
+    """A span to open with ``with``; the shared no-op span when tracing is off."""
+
     if not _active:
-        yield _NOOP
-        return
-    stack = _stack()
-    parent = stack[-1].span_id if stack else None
-    sp = Span(name, f"{os.getpid()}-{next(_ids)}", parent, **attrs)
-    stack.append(sp)
-    try:
-        yield sp
-    finally:
-        stack.pop()
-        end = time.monotonic()
-        _emit(
-            {
-                "name": sp.name,
-                "span": sp.span_id,
-                "parent": sp.parent_id,
-                "pid": os.getpid(),
-                "thread": threading.current_thread().name,
-                "t_start": sp.start,
-                "t_end": end,
-                "dur_s": end - sp.start,
-                "wall": time.time(),
-                "attrs": sp.attrs,
-            }
-        )
+        return _NOOP
+    return Span(name, attrs)

@@ -217,6 +217,28 @@ class TestTracing:
             sp.set(y=2)
         assert obs.ring_events() == []
 
+    def test_disabled_spans_share_one_object(self):
+        first = obs.span("quiet", x=1)
+        assert obs.span("other") is first
+        with first as sp:
+            assert sp is first
+
+    def test_a_raising_span_still_emits_and_unwinds(self):
+        obs.configure_tracing()
+        with obs.span("outer"):
+            with pytest.raises(ValueError):
+                with obs.span("failing", n=1):
+                    raise ValueError("boom")
+            assert obs.current_span_id() is not None
+            with obs.span("after"):
+                pass
+        assert obs.current_span_id() is None
+        events = {event["name"]: event for event in obs.ring_events()}
+        assert [event["name"] for event in obs.ring_events()] == ["failing", "after", "outer"]
+        assert events["failing"]["parent"] == events["outer"]["span"]
+        assert events["after"]["parent"] == events["outer"]["span"]
+        assert events["failing"]["attrs"] == {"n": 1}
+
     def test_nesting_and_attrs(self):
         obs.configure_tracing()
         with obs.span("outer", a=1):
@@ -328,6 +350,36 @@ class TestExport:
         payload = json.loads(proc.stdout)
         assert payload["events"] == 1
         assert payload["spans"]["engine.sweep.run"]["count"] == 1
+
+    @pytest.mark.parametrize(
+        "verb, content, message",
+        [
+            ("report", None, "cannot read trace file"),
+            ("report", b"\xff\xfe", "cannot read trace file"),
+            ("prom", None, "cannot read snapshot file"),
+            ("prom", b"{not json", "cannot read snapshot file"),
+            ("prom", b"[1, 2]", "is not a metrics snapshot"),
+        ],
+    )
+    def test_cli_reports_unreadable_input_without_a_traceback(
+        self, tmp_path, verb, content, message
+    ):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        env = dict(os.environ)
+        repo = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(repo / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.obs", verb, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 # --------------------------------------------------------------------------- #
