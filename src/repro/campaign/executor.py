@@ -39,12 +39,11 @@ from repro.campaign import registry
 from repro.campaign.spec import CampaignSpec, Scenario, content_digest
 from repro.campaign.store import ResultStore
 from repro.engines.registry import resolve_engine
-from repro.execution.engine import logic_engine_for, run_iter
+from repro.execution.engine import run_iter
 from repro.graphs.graph import Graph
 from repro.graphs.ports import PortNumbering
 from repro.machines.fastpath import fast_path
 from repro.machines.models import ProblemClass
-from repro.machines.state_machine import algorithm_from_machine
 from repro.obs import init_worker as _obs_init_worker, worker_config as _obs_worker_config
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -304,12 +303,12 @@ def _correspondence_record(scenario: Scenario) -> dict[str, Any]:
     ``(machine, class, Delta, engine)`` coordinate are built once per worker
     (``_WORKER_MACHINE_FORMULAS``) -- the hash-consed pool dedups the formula
     nodes anyway, but skipping the spec enumeration and reusing the wrapped
-    algorithms (with their warm fast-path/sweep tables) is what keeps a
-    sweep over many numberings of one graph family cheap.
+    algorithms (with their warm memos and sweep tables, the seed oracle's
+    included) is what keeps a sweep over many numberings of one graph
+    family cheap.
     """
     from repro.modal.algorithm_to_formula import formula_for_machine
-    from repro.modal.correspondence import machine_roundtrip_report
-    from repro.modal.formula_to_algorithm import algorithm_for_formula
+    from repro.modal.correspondence import machine_roundtrip_report, roundtrip_algorithms
 
     started = time.perf_counter()
     graph, numbering = _materialize(scenario)
@@ -327,16 +326,7 @@ def _correspondence_record(scenario: Scenario) -> dict[str, Any]:
             workload.running_time,
             max_formula_nodes=CORRESPONDENCE_NODE_BUDGET,
         )
-        logic_engine = logic_engine_for(scenario.engine)
-        algorithms = (
-            fast_path(algorithm_from_machine(machine.as_state_machine()),
-                      memoize_transitions=True),
-            fast_path(algorithm_for_formula(formula, problem_class, engine=logic_engine),
-                      memoize_transitions=True),
-            algorithm_for_formula(formula, problem_class, engine="reference")
-            if scenario.engine != "reference"
-            else None,
-        )
+        algorithms = roundtrip_algorithms(machine, formula, problem_class, scenario.engine)
         cached = _memo_put(
             _WORKER_MACHINE_FORMULAS,
             key,

@@ -514,8 +514,11 @@ def _run_one(
             graph, numbering = instance, None
         else:
             graph, numbering = instance
+        # The seed loop runs on the memoizing wrapper when the caller asked
+        # for memoization, and on the bare algorithm otherwise, so plain
+        # reference runs keep their exact baseline.
         return run_reference(
-            fast.inner,
+            fast if fast.memoizes_transitions else fast.inner,
             graph,
             numbering,
             max_rounds=max_rounds,
@@ -701,7 +704,8 @@ def run_many(
         whole batch (see :class:`~repro.machines.fastpath.FastPathAlgorithm`).
         Sound for any algorithm that is a deterministic state machine in the
         paper's sense; adversarial sweeps of one small algorithm over many
-        numberings benefit the most.  Ignored by the reference engine.
+        numberings benefit the most.  Every engine honours it; on
+        ``"reference"`` the unchanged seed loop runs on the memoizing wrapper.
 
     Returns
     -------

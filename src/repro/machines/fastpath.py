@@ -41,7 +41,10 @@ class FastPathAlgorithm:
     internal execution-engine helper, not a model citizen.  It exposes the
     inner algorithm as :attr:`inner` and a single extra method,
     :meth:`project`, which the engine uses in place of
-    ``algorithm.model.receive.project``.
+    ``algorithm.model.receive.project``.  It also forwards the halting
+    protocol (``is_stopping``, ``output``), ``name`` and
+    ``initial_state_with_input`` to the inner algorithm, so that the seed
+    reference loop (:mod:`repro.execution.legacy`) can run on it unchanged.
 
     Sharing one wrapper across the executions of a batch (as
     :func:`repro.execution.engine.run_many` does) lets the cache amortize over
@@ -123,6 +126,22 @@ class FastPathAlgorithm:
         if degree not in cache:
             cache[degree] = self.inner.initial_state(degree)
         return cache[degree]
+
+    # Unmemoized forwards: the rest of what the seed loop calls.  Initial
+    # states on the inputs path stay unmemoized, as in the compiled engine.
+
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+    def initial_state_with_input(self, degree: int, local_input: Any) -> Any:
+        return self.inner.initial_state_with_input(degree, local_input)
+
+    def is_stopping(self, state: Any) -> bool:
+        return self.inner.is_stopping(state)
+
+    def output(self, state: Any) -> Any:
+        return self.inner.output(state)
 
     def transition(self, state: Any, projected: Any) -> Any:
         """``delta(state, projected)``, memoized on the pair when enabled."""

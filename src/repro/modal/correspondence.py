@@ -21,8 +21,11 @@ DAG), the formula is compiled back to a
 machine outputs, formula extensions and recompiled-algorithm outputs are
 cross-checked over every adversarial port numbering of the given graphs --
 optionally against the seed formula-algorithm as a differential oracle.
-The campaign subsystem's ``correspondence`` scenario kind and experiment E4
-both run on it.
+The oracle runs on every instance, memoized: :func:`roundtrip_algorithms`
+builds the three algorithms once as memoizing fast-path wrappers, so the
+seed loop evaluates each distinct initial state and transition once per
+report (or once per campaign worker).  The campaign subsystem's
+``correspondence`` scenario kind and experiment E4 both run on it.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.graphs.ports import PortNumbering
 from repro.logic.engine import check_many
 from repro.logic.syntax import Formula, dag_size, modal_depth, tree_size
 from repro.machines.algorithm import Algorithm
+from repro.machines.fastpath import FastPathAlgorithm, fast_path
 from repro.machines.models import ProblemClass
 from repro.machines.state_machine import FiniteStateMachine, algorithm_from_machine
 from repro.modal.algorithm_to_formula import (
@@ -237,6 +241,38 @@ def _zero_one(
     return {node: 1 if outputs.get(node) == accepting else 0 for node in nodes}
 
 
+def roundtrip_algorithms(
+    machine: FiniteStateMachine,
+    formula: Formula,
+    problem_class: ProblemClass,
+    engine: str = "sweep",
+    cross_check: bool = True,
+) -> tuple[FastPathAlgorithm, FastPathAlgorithm, FastPathAlgorithm | None]:
+    """The ``(original, realized, oracle)`` algorithms of one round trip.
+
+    Each is wrapped in a memoizing fast-path wrapper, so every run of the
+    round trip that shares the triple evaluates each distinct initial state
+    and transition once.  Algorithms are deterministic state machines
+    (Section 1.1), so the memo changes no output.  ``oracle`` is the seed
+    formula-algorithm, and ``None`` unless ``cross_check`` is set and
+    ``engine`` is not ``"reference"``.
+    """
+    original = fast_path(
+        algorithm_from_machine(machine.as_state_machine()), memoize_transitions=True
+    )
+    realized = fast_path(
+        algorithm_for_formula(formula, problem_class, engine=logic_engine_for(engine)),
+        memoize_transitions=True,
+    )
+    oracle = None
+    if cross_check and engine != "reference":
+        oracle = fast_path(
+            algorithm_for_formula(formula, problem_class, engine="reference"),
+            memoize_transitions=True,
+        )
+    return original, realized, oracle
+
+
 def machine_roundtrip_report(
     machine: FiniteStateMachine,
     problem_class: ProblemClass,
@@ -270,9 +306,11 @@ def machine_roundtrip_report(
     evaluating one machine over many instance batches may pass a
     pre-compiled ``formula`` (the campaign executor does) to skip the
     Table 4/5 enumeration, and/or pre-built ``algorithms`` -- an
-    ``(original, realized, oracle)`` triple matching this call's ``engine``
-    -- so the three fronts (and any fast-path/sweep tables living on them)
-    are reused across calls instead of recompiled per call.
+    ``(original, realized, oracle)`` triple matching this call's ``engine``,
+    as :func:`roundtrip_algorithms` builds it -- so the three fronts (and
+    their memos and sweep tables) are reused across calls instead of
+    recompiled per call.  Without ``algorithms`` the triple is built once
+    for this call, so one memo spans every graph of the report.
     """
     if pairs is not None:
         batches: list[tuple[Graph, list[PortNumbering]]] = []
@@ -323,17 +361,12 @@ def machine_roundtrip_report(
     )
     logic_engine = logic_engine_for(engine)
     if algorithms is None:
-        original = algorithm_from_machine(machine.as_state_machine())
-        realized = algorithm_for_formula(formula, problem_class, engine=logic_engine)
-        oracle = (
-            algorithm_for_formula(formula, problem_class, engine="reference")
-            if cross_check and engine != "reference"
-            else None
+        algorithms = roundtrip_algorithms(
+            machine, formula, problem_class, engine, cross_check
         )
-    else:
-        original, realized, oracle = algorithms
-        if not (cross_check and engine != "reference"):
-            oracle = None
+    original, realized, oracle = algorithms
+    if not (cross_check and engine != "reference"):
+        oracle = None
 
     for graph, numberings in batches:
         instances = [(graph, numbering) for numbering in numberings]
@@ -370,6 +403,7 @@ def machine_roundtrip_report(
             if realized_out != expected:
                 report.algorithms_agree = False
                 agrees = False
+            oracle_out = None
             if oracle is not None:
                 report.oracle_checked = True
                 oracle_out = _zero_one(results[2].outputs, graph.nodes)
@@ -384,6 +418,8 @@ def machine_roundtrip_report(
                     "machine": machine_out,
                     "realized": realized_out,
                 }
+                if oracle_out is not None:
+                    report.first_disagreement["oracle"] = oracle_out
     return report
 
 
@@ -393,4 +429,5 @@ __all__ = [
     "disagreement_witness",
     "formula_output",
     "machine_roundtrip_report",
+    "roundtrip_algorithms",
 ]

@@ -120,6 +120,17 @@ def make_staggered_probe(base):
     return Staggered()
 
 
+def make_input_probe(base, rounds=2):
+    """A probe whose history starts from the node's local input."""
+
+    class InputProbe(type(make_probe(base, rounds))):
+        def initial_state_with_input(self, degree, local_input):
+            return (0, degree, (local_input,))
+
+    InputProbe.__name__ = f"InputProbe{base.__name__}"
+    return InputProbe()
+
+
 def assert_identical(algorithm, graph, numbering, **kwargs):
     engine = run(algorithm, graph, numbering, **kwargs)
     reference = run_reference(algorithm, graph, numbering, **kwargs)
@@ -295,16 +306,93 @@ class TestRunMany:
         assert [r.outputs for r in parallel] == [r.outputs for r in sequential]
         assert [r.rounds for r in parallel] == [r.rounds for r in sequential]
 
-    def test_memoized_batch_matches_unmemoized(self):
+    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    def test_memoized_batch_matches_unmemoized(self, engine):
         # Across all six algorithm models, transition/send/projection
         # memoization must be unobservable for deterministic algorithms.
         instances = self._instances()
         for base in MODEL_BASES.values():
             for algorithm in (make_probe(base, rounds=3), make_staggered_probe(base)):
-                plain = run_many(algorithm, instances)
-                memoized = run_many(algorithm, instances, memoize_transitions=True)
+                plain = run_many(algorithm, instances, engine=engine)
+                memoized = run_many(
+                    algorithm, instances, engine=engine, memoize_transitions=True
+                )
                 assert [r.outputs for r in memoized] == [r.outputs for r in plain]
                 assert [r.rounds for r in memoized] == [r.rounds for r in plain]
+                assert [r.states for r in memoized] == [r.states for r in plain]
+
+    def test_memoized_reference_runs_with_inputs(self):
+        instances = self._instances()
+        inputs = [
+            {node: i % 3 for i, node in enumerate(compile_instance(item).graph.nodes)}
+            for item in instances
+        ]
+        for base in MODEL_BASES.values():
+            algorithm = make_input_probe(base)
+            plain = run_many(algorithm, instances, inputs=inputs, engine="reference")
+            memoized = run_many(
+                algorithm, instances, inputs=inputs, engine="reference",
+                memoize_transitions=True,
+            )
+            compiled = run_many(algorithm, instances, inputs=inputs)
+            for a, b, c in zip(memoized, plain, compiled):
+                assert a.outputs == b.outputs == c.outputs
+                assert a.states == b.states == c.states
+                assert a.rounds == b.rounds
+
+    def test_memoized_reference_traces_match(self):
+        instances = self._instances()
+        algorithm = make_probe(MultisetAlgorithm, rounds=3)
+        plain = run_many(algorithm, instances, engine="reference", record_trace=True)
+        memoized = run_many(
+            algorithm, instances, engine="reference", record_trace=True,
+            memoize_transitions=True,
+        )
+        for a, b in zip(memoized, plain):
+            assert a.trace.state_history == b.trace.state_history
+            assert a.trace.received_messages == b.trace.received_messages
+
+    def test_memoized_reference_non_halting_runs_match(self):
+        instances = [cycle_graph(3), star_graph(3)]
+        for algorithm in (ForeverBroadcast(), LeavesHaltCentreSpins()):
+            kwargs = dict(engine="reference", max_rounds=3, require_halt=False)
+            plain = run_many(algorithm, instances, **kwargs)
+            memoized = run_many(algorithm, instances, memoize_transitions=True, **kwargs)
+            for a, b in zip(memoized, plain):
+                assert not a.halted and not b.halted
+                assert a.outputs == b.outputs
+                assert a.states == b.states
+                assert a.rounds == b.rounds
+
+    def test_memoized_reference_non_halting_run_names_the_algorithm(self):
+        with pytest.raises(ExecutionError, match="ForeverBroadcast did not halt"):
+            run_many(
+                ForeverBroadcast(), [cycle_graph(3)], max_rounds=4,
+                engine="reference", memoize_transitions=True,
+            )
+
+    @pytest.mark.parametrize("memoize", [False, True])
+    def test_reference_engine_gets_the_wrapper_only_when_memoizing(
+        self, monkeypatch, memoize
+    ):
+        from repro.execution import legacy
+
+        seen = []
+        real = legacy.run_reference
+
+        def spy(algorithm, *args, **kwargs):
+            seen.append(algorithm)
+            return real(algorithm, *args, **kwargs)
+
+        monkeypatch.setattr(legacy, "run_reference", spy)
+        algorithm = RoundCounterAlgorithm(2)
+        run_many(algorithm, [cycle_graph(3)], engine="reference", memoize_transitions=memoize)
+        [received] = seen
+        if memoize:
+            assert isinstance(received, FastPathAlgorithm)
+            assert received.memoizes_transitions and received.inner is algorithm
+        else:
+            assert received is algorithm
 
     def test_require_halt_raises_like_sequential(self):
         with pytest.raises(ExecutionError):
@@ -398,6 +486,16 @@ class TestFastPath:
         vector = ("a", "b")
         assert fast.project(vector) is vector
         assert fast.cache_size == 0
+
+    def test_forwards_what_the_seed_loop_calls(self):
+        inner = LeavesHaltCentreSpins()
+        fast = fast_path(inner, memoize_transitions=True)
+        assert fast.name == inner.name == "LeavesHaltCentreSpins"
+        assert fast.initial_state_with_input(1, "x") == Output("leaf")
+        assert fast.is_stopping(Output("leaf")) and not fast.is_stopping(0)
+        assert fast.output(Output("leaf")) == "leaf"
+        with pytest.raises(ValueError):
+            fast.output(0)
 
     def test_fast_path_idempotent(self):
         inner = make_probe(SetAlgorithm)

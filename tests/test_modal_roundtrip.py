@@ -16,7 +16,8 @@ import itertools
 import pytest
 
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
-from repro.logic.syntax import dag_size, formula_pool, modal_depth, tree_size
+from repro.logic.syntax import Not, dag_size, formula_pool, modal_depth, tree_size
+from repro.machines.fastpath import fast_path
 from repro.machines.library import class_view, random_machine, reference_machine
 from repro.machines.models import ProblemClass, ReceiveMode, SendMode
 from repro.machines.state_machine import FiniteStateMachine
@@ -25,7 +26,8 @@ from repro.modal.algorithm_to_formula import (
     formula_for_machine,
     predict_formula_nodes,
 )
-from repro.modal.correspondence import machine_roundtrip_report
+from repro.modal.correspondence import machine_roundtrip_report, roundtrip_algorithms
+from repro.modal.formula_to_algorithm import FormulaAlgorithm, algorithm_for_formula
 
 ALL_CLASSES = list(ProblemClass)
 
@@ -75,6 +77,78 @@ def test_roundtrip_honours_accepting_output():
         accepting_output=0,
     )
     assert report.agree, report.first_disagreement
+
+
+def test_seed_oracle_evaluates_each_distinct_input_once(monkeypatch):
+    """The oracle still runs on every instance, but one memo spans the whole
+    report: each distinct initial state and transition is evaluated once."""
+    initials: list = []
+    transitions: list = []
+    real_initial = FormulaAlgorithm.initial_state
+    real_transition = FormulaAlgorithm.transition
+
+    def counting_initial(self, degree):
+        initials.append((id(self), degree))
+        return real_initial(self, degree)
+
+    def counting_transition(self, state, received):
+        transitions.append((id(self), state, received))
+        return real_transition(self, state, received)
+
+    monkeypatch.setattr(FormulaAlgorithm, "initial_state", counting_initial)
+    monkeypatch.setattr(FormulaAlgorithm, "transition", counting_transition)
+    report = machine_roundtrip_report(
+        reference_machine(ProblemClass.MV, delta=3), ProblemClass.MV, 1, graphs=DELTA3_GRAPHS
+    )
+    assert report.agree, report.first_disagreement
+    assert report.oracle_checked
+    assert initials and transitions
+    assert len(initials) == len(set(initials))
+    assert len(transitions) == len(set(transitions))
+
+
+class TestDisagreementWitness:
+    """A wrong algorithm on either checked front is caught and shown."""
+
+    problem_class = ProblemClass.MV
+
+    def _report(self, realized=None, oracle=None):
+        machine = reference_machine(self.problem_class, delta=3)
+        formula = formula_for_machine(machine, self.problem_class, 1)
+        original, right, seed = roundtrip_algorithms(machine, formula, self.problem_class)
+        return machine_roundtrip_report(
+            machine,
+            self.problem_class,
+            1,
+            graphs=DELTA3_GRAPHS,
+            formula=formula,
+            algorithms=(original, realized or right, oracle or seed),
+        )
+
+    def _negated(self, engine):
+        machine = reference_machine(self.problem_class, delta=3)
+        formula = formula_for_machine(machine, self.problem_class, 1)
+        return fast_path(
+            algorithm_for_formula(Not(formula), self.problem_class, engine=engine),
+            memoize_transitions=True,
+        )
+
+    def test_a_wrong_oracle_shows_its_output(self):
+        report = self._report(oracle=self._negated("reference"))
+        assert report.formula_agrees
+        assert not report.algorithms_agree
+        assert report.oracle_checked
+        witness = report.first_disagreement
+        assert witness["realized"] == witness["formula"]
+        assert witness["oracle"] == {node: 1 - bit for node, bit in witness["realized"].items()}
+
+    def test_a_wrong_realized_algorithm_is_caught(self):
+        report = self._report(realized=self._negated("compiled"))
+        assert report.formula_agrees
+        assert not report.algorithms_agree
+        witness = report.first_disagreement
+        assert witness["realized"] == {node: 1 - bit for node, bit in witness["formula"].items()}
+        assert witness["oracle"] == witness["formula"]
 
 
 def test_roundtrip_without_instances_is_rejected():
