@@ -38,8 +38,11 @@ execution layer got in :mod:`repro.execution.engine`:
   short-circuiting and memoisation instead of computing the full extension.
 
 The compiled form is cached on the model instance (``KripkeModel._compiled``,
-mirroring ``Graph._default_compiled`` in the execution engine), so adversarial
-sweeps that revisit one encoding compile it once.
+mirroring ``Graph._default_compiled`` in the execution engine), so repeated
+checks and refinements on one model -- a batch checked against a model built
+once, an adversarial sweep's union of encodings -- compile it once.  It keeps
+no reference back to the model, so the pair is freed by reference counting,
+not left to the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -128,7 +131,6 @@ class CompiledKripke:
     """
 
     __slots__ = (
-        "model",
         "worlds",
         "world_index",
         "n",
@@ -146,7 +148,6 @@ class CompiledKripke:
     )
 
     def __init__(self, model: KripkeModel) -> None:
-        self.model = model
         worlds = tuple(sorted(model.worlds, key=repr))
         self.worlds = worlds
         index_of = {world: i for i, world in enumerate(worlds)}

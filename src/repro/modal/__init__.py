@@ -34,6 +34,7 @@ __getattr__, __dir__ = _lazy_exports(
         "RoundTripReport": ".correspondence",
         "algorithm_matches_formula": ".correspondence",
         "formula_output": ".correspondence",
+        "formula_outputs": ".correspondence",
         "machine_roundtrip_report": ".correspondence",
     },
 )
@@ -53,5 +54,6 @@ __all__ = [
     "RoundTripReport",
     "algorithm_matches_formula",
     "formula_output",
+    "formula_outputs",
     "machine_roundtrip_report",
 ]

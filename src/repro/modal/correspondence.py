@@ -10,8 +10,13 @@ Both halves run on the batch engines: the adversarial executions run
 superposed through the sweep engine (:mod:`repro.execution.sweep`, one
 transition evaluation per distinct configuration across all numberings of a
 graph) and the formula side is evaluated by the compiled bitset model
-checker (:mod:`repro.logic.engine`), one compiled encoding per port
-numbering.  The per-instance compiled loop and the seed runner remain
+checker (:mod:`repro.logic.engine`) once per graph, on the disjoint union of
+the *distinct* Kripke encodings its numberings induce
+(:func:`~repro.modal.encoding.kripke_unions`).  The weaker encodings forget
+port information, so many numberings share one copy, and each copy is a
+generated submodel of the union: by bisimulation invariance (Fact 1) the
+union's extension restricted to a copy is the extension in that copy's
+encoding.  The per-instance compiled loop and the seed runner remain
 selectable through ``engine`` as differential oracles.
 
 :func:`machine_roundtrip_report` is the full Theorem 2 pipeline in one call:
@@ -53,8 +58,34 @@ from repro.modal.algorithm_to_formula import (
     DEFAULT_MAX_FORMULA_NODES,
     formula_for_machine,
 )
-from repro.modal.encoding import kripke_encoding, variant_for_class
+from repro.modal.encoding import kripke_unions, variant_for_class
 from repro.modal.formula_to_algorithm import algorithm_for_formula
+
+
+def formula_outputs(
+    graph: Graph,
+    numberings: Sequence[PortNumbering],
+    formula: Formula,
+    problem_class: ProblemClass,
+    delta: int | None = None,
+    engine: str = "compiled",
+) -> list[dict[Node, int]]:
+    """The 0/1 labellings ``||formula||`` in the class's encodings of ``(G, p)``.
+
+    One labelling per numbering, in input order.  The formula is checked
+    once per union of the distinct encodings the numberings induce
+    (:func:`~repro.modal.encoding.kripke_unions`), and each numbering's
+    labelling is its copy's slice of the union's extension -- its extension
+    in its own encoding, since the copy is a generated submodel (Fact 1).
+    """
+    unions, places = kripke_unions(
+        graph, numberings, variant_for_class(problem_class), delta=delta
+    )
+    truths = [check_many(union, [formula], engine=engine)[0] for union in unions]
+    return [
+        {node: 1 if (copy, node) in truths[union] else 0 for node in graph.nodes}
+        for union, copy in places
+    ]
 
 
 def formula_output(
@@ -65,12 +96,11 @@ def formula_output(
     delta: int | None = None,
     engine: str = "compiled",
 ) -> dict[Node, int]:
-    """The 0/1 labelling ``||formula||`` in the class's encoding of ``(G, p)``."""
-    model = kripke_encoding(
-        graph, numbering, variant=variant_for_class(problem_class), delta=delta
-    )
-    truth = check_many(model, [formula], engine=engine)[0]
-    return {node: 1 if node in truth else 0 for node in graph.nodes}
+    """The 0/1 labelling ``||formula||`` in the class's encoding of ``(G, p)``.
+
+    The one-numbering case of :func:`formula_outputs`.
+    """
+    return formula_outputs(graph, [numbering], formula, problem_class, delta, engine)[0]
 
 
 def _disagreements(
@@ -88,15 +118,20 @@ def _disagreements(
     Per graph, the adversarial numberings are enumerated once, the
     executions run superposed through the sweep engine (one transition
     evaluation per distinct configuration across the numberings) and each
-    result is compared against the formula's labelling in the matching
-    compiled Kripke encoding.
+    result is compared against the formula's labelling for its numbering,
+    all of a graph's labellings coming from one model check
+    (:func:`formula_outputs`).
 
     The sweep engine materializes a whole graph's sweep up front, so
     non-halting runs are collected with ``require_halt=False`` and re-raised
-    here *in numbering order* -- a disagreement on an earlier numbering is
-    still yielded before a later numbering's :class:`ExecutionError`,
-    exactly as the lazy per-instance stream behaved.
+    here *in numbering order*; the labellings are computed when the graph's
+    first halted numbering needs them.  A disagreement on an earlier
+    numbering is therefore still yielded before a later numbering's
+    :class:`ExecutionError`, exactly as the lazy per-instance stream behaved.
+    Raises ``ValueError`` after checking no instance at all, instead of
+    reporting agreement vacuously.
     """
+    checked = 0
     for graph in graphs:
         numberings = list(
             port_numberings_to_check(
@@ -113,16 +148,26 @@ def _disagreements(
             require_halt=False,
             engine="sweep",
         )
-        for numbering, result in zip(numberings, results):
+        labellings = None
+        for k, (numbering, result) in enumerate(zip(numberings, results)):
             if not result.halted:
                 raise ExecutionError(
                     f"{algorithm.name} did not halt on {graph!r} "
                     f"within {max_rounds} rounds"
                 )
-            expected = formula_output(graph, numbering, formula, problem_class, delta=delta)
+            if labellings is None:
+                labellings = formula_outputs(
+                    graph, numberings, formula, problem_class, delta=delta
+                )
+            checked += 1
             actual = {node: 1 if result.outputs[node] == 1 else 0 for node in graph.nodes}
-            if actual != expected:
-                yield graph, numbering, expected, actual
+            if actual != labellings[k]:
+                yield graph, numbering, labellings[k], actual
+    if not checked:
+        raise ValueError(
+            "no instance to check: the graphs select no (graph, numbering) "
+            "pair, and an empty check would report agreement vacuously"
+        )
 
 
 def algorithm_matches_formula(
@@ -296,9 +341,10 @@ def machine_roundtrip_report(
     ``(graph, numbering)`` ``pairs`` select the instances; a selection with
     no instance raises ``ValueError`` instead of agreeing vacuously.  All three
     fronts stream through the batch engines: one superposed adversarial
-    sweep per algorithm per graph (``engine="sweep"``, the default), one
-    compiled Kripke encoding per numbering for the formula side.  ``engine``
-    selects the execution backend (``"sweep"``, ``"compiled"`` or
+    sweep per algorithm per graph (``engine="sweep"``, the default), and
+    for the formula side one model check per graph, on the union of its
+    distinct Kripke encodings (:func:`formula_outputs`).  ``engine`` selects
+    the execution backend (``"sweep"``, ``"compiled"`` or
     ``"reference"``); the formula-algorithm and model-checker backends
     follow it, with ``"sweep"`` mapping to their compiled implementations.
     With ``cross_check=True`` and a non-reference engine the seed
@@ -387,11 +433,11 @@ def machine_roundtrip_report(
                     engine="reference", memoize_transitions=True,
                 )
             )
-        for numbering, results in zip(numberings, zip(*streams)):
+        labellings = formula_outputs(
+            graph, numberings, formula, problem_class, engine=logic_engine
+        )
+        for numbering, expected, results in zip(numberings, labellings, zip(*streams)):
             report.instances += 1
-            expected = formula_output(
-                graph, numbering, formula, problem_class, engine=logic_engine
-            )
             # The formula is the indicator of ``accepting_output``; the
             # realized algorithms genuinely output 0/1.
             machine_out = _zero_one(results[0].outputs, graph.nodes, accepting_output)
@@ -428,6 +474,7 @@ __all__ = [
     "algorithm_matches_formula",
     "disagreement_witness",
     "formula_output",
+    "formula_outputs",
     "machine_roundtrip_report",
     "roundtrip_algorithms",
 ]

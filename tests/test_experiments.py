@@ -38,13 +38,16 @@ def test_experiment_matches_paper(experiment_id):
     [
         ("E5", r"max message size=(\d+)", ["3568", "561", "561", "27074"]),
         ("E6", r"max sizes for T=1,2,4,8: (\[[\d, ]+\])", ["[6, 9, 15, 27]", "[4, 5, 7, 11]"]),
+        ("E4", r"instances=(\d+)", ["27", "309", "309", "309", "309", "309", "309"]),
     ],
-    ids=["E5", "E6"],
+    ids=["E5", "E6", "E4"],
 )
-def test_measured_message_sizes_are_pinned(experiment_id, pattern, expected):
-    """E5 and E6 report exactly the message sizes of the plain tree walk."""
+def test_measured_values_are_pinned(experiment_id, pattern, expected):
+    """E5 and E6 report exactly the message sizes of the plain tree walk, and
+    E4's round trips count every adversarial numbering, not every distinct
+    Kripke encoding."""
     rows = run_experiment(experiment_id).rows
-    assert [size for row in rows for size in re.findall(pattern, row.measured)] == expected
+    assert [value for row in rows for value in re.findall(pattern, row.measured)] == expected
 
 
 class TestReporting:

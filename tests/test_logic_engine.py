@@ -10,6 +10,7 @@ views of ``repro.graphs.covers``.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -221,6 +222,12 @@ class TestCompiledKripke:
     def test_compiled_form_is_cached_on_the_model(self):
         model = random_model(3)
         assert compile_kripke(model) is compile_kripke(model)
+
+    def test_compiled_form_holds_no_reference_to_its_model(self):
+        """The cache is one-way (model -> compiled form), so the pair forms no
+        reference cycle and is freed without the cyclic collector."""
+        model = random_model(3)
+        assert not any(referent is model for referent in gc.get_referents(compile_kripke(model)))
 
     def test_world_interning_matches_reference_order(self):
         model = random_model(4)

@@ -12,6 +12,7 @@ from repro.modal.encoding import (
     KripkeVariant,
     degree_proposition,
     kripke_encoding,
+    kripke_unions,
     signature_indices,
     variant_for_class,
 )
@@ -114,3 +115,39 @@ class TestErrors:
         encoding = kripke_encoding(graph, variant=KripkeVariant.FULL, delta=3)
         assert (3, 3) in encoding.indices
         assert encoding.relation((3, 3)) == frozenset()
+
+    @pytest.mark.parametrize("variant", list(KripkeVariant), ids=lambda v: v.value)
+    def test_delta_below_the_maximum_degree_is_rejected(self, variant):
+        graph = star_graph(3)
+        with pytest.raises(ValueError, match=r"delta=1 .*maximum degree 3"):
+            kripke_encoding(graph, variant=variant, delta=1)
+        with pytest.raises(ValueError, match=r"delta=1 .*maximum degree 3"):
+            kripke_unions(graph, [consistent_port_numbering(graph)], variant, delta=1)
+
+
+class TestUnions:
+    def test_numberings_inducing_one_encoding_share_a_copy(self, rng):
+        graph = cycle_graph(5)
+        numberings = [random_port_numbering(graph, rng) for _ in range(6)]
+        unions, places = kripke_unions(graph, numberings, KripkeVariant.NEITHER)
+        assert len(unions) == 1 and len(unions[0].worlds) == 5
+        assert places == [(0, 0)] * 6
+
+    @pytest.mark.parametrize("variant", list(KripkeVariant), ids=lambda v: v.value)
+    def test_each_copy_is_its_numberings_encoding(self, variant, rng):
+        graph = star_graph(3)
+        distinct = [random_port_numbering(graph, rng) for _ in range(4)]
+        numberings = distinct + distinct[::-1]
+        unions, places = kripke_unions(graph, numberings, variant, delta=4)
+        for numbering, (union, copy) in zip(numberings, places):
+            model = unions[union]
+            encoding = kripke_encoding(graph, numbering, variant, delta=4)
+            assert model.indices == encoding.indices
+            for index in encoding.indices:
+                assert {
+                    (u, v) for (c, u), (_, v) in model.relation(index) if c == copy
+                } == encoding.relation(index)
+            for prop in encoding.propositions:
+                assert {
+                    node for c, node in model.valuation_of(prop) if c == copy
+                } == encoding.valuation_of(prop)

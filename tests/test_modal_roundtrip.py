@@ -15,8 +15,19 @@ import itertools
 
 import pytest
 
+from repro.execution.engine import ExecutionError
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
-from repro.logic.syntax import Not, dag_size, formula_pool, modal_depth, tree_size
+from repro.logic.syntax import (
+    Bottom,
+    Not,
+    Prop,
+    Top,
+    dag_size,
+    formula_pool,
+    modal_depth,
+    tree_size,
+)
+from repro.machines.algorithm import Output, VectorAlgorithm
 from repro.machines.fastpath import fast_path
 from repro.machines.library import class_view, random_machine, reference_machine
 from repro.machines.models import ProblemClass, ReceiveMode, SendMode
@@ -26,7 +37,13 @@ from repro.modal.algorithm_to_formula import (
     formula_for_machine,
     predict_formula_nodes,
 )
-from repro.modal.correspondence import machine_roundtrip_report, roundtrip_algorithms
+from repro.modal import correspondence
+from repro.modal.correspondence import (
+    algorithm_matches_formula,
+    disagreement_witness,
+    machine_roundtrip_report,
+    roundtrip_algorithms,
+)
 from repro.modal.formula_to_algorithm import FormulaAlgorithm, algorithm_for_formula
 
 ALL_CLASSES = list(ProblemClass)
@@ -165,6 +182,66 @@ def test_roundtrip_with_an_empty_selection_is_rejected(selection):
     machine = reference_machine(ProblemClass.SB, delta=2)
     with pytest.raises(ValueError, match="at least one instance"):
         machine_roundtrip_report(machine, ProblemClass.SB, running_time=1, **{selection: []})
+
+
+@pytest.mark.parametrize("check", [algorithm_matches_formula, disagreement_witness])
+def test_formula_check_without_instances_is_rejected(check):
+    """No graph selects no instance: the check must raise, not report
+    agreement (``True`` / no witness) over nothing."""
+    formula = Prop("deg1")
+    algorithm = algorithm_for_formula(formula, ProblemClass.SB)
+    with pytest.raises(ValueError, match="no instance"):
+        check(algorithm, formula, ProblemClass.SB, graphs=[])
+
+
+class EchoesAligned(VectorAlgorithm):
+    """Leaves echo the out-port number their first message left through; a
+    node of degree 2 halts with output 1 iff in-port ``i`` echoes ``i``, and
+    spins forever otherwise."""
+
+    def initial_state(self, degree):
+        return ("send-port", degree)
+
+    def send(self, state, port):
+        return port if state[0] == "send-port" else state[1]
+
+    def transition(self, state, received):
+        if state[0] == "send-port":
+            return ("echo", received[0]) if state[1] == 1 else ("listen", None)
+        if state[0] == "echo" or (state[0] == "listen" and tuple(received) == (1, 2)):
+            return Output(1)
+        return ("spin", None)
+
+
+def test_a_disagreement_is_found_before_a_later_numbering_stalls():
+    """On a 3-path the first adversarial numbering halts and the second
+    stalls: a disagreement on the first is still reported, and agreement on
+    the first still reaches the stall."""
+    graph = path_graph(3)
+    witness = disagreement_witness(EchoesAligned(), Bottom(), ProblemClass.VV, [graph])
+    assert witness is not None
+    assert witness[2:] == ({0: 0, 1: 0, 2: 0}, {0: 1, 1: 1, 2: 1})
+    with pytest.raises(ExecutionError, match="did not halt"):
+        algorithm_matches_formula(EchoesAligned(), Top(), ProblemClass.VV, [graph], max_rounds=5)
+
+
+def test_roundtrip_checks_the_formula_once_per_graph(monkeypatch):
+    """Every numbering of a graph is labelled from one model check, on the
+    union of the distinct encodings the numberings induce."""
+    checked = []
+    real_check_many = correspondence.check_many
+
+    def counting_check_many(model, formulas, **kwargs):
+        checked.append(model)
+        return real_check_many(model, formulas, **kwargs)
+
+    monkeypatch.setattr(correspondence, "check_many", counting_check_many)
+    report = machine_roundtrip_report(
+        reference_machine(ProblemClass.SV, delta=3), ProblemClass.SV, 1, graphs=DELTA3_GRAPHS
+    )
+    assert report.agree, report.first_disagreement
+    assert report.instances == 52
+    assert len(checked) == len(DELTA3_GRAPHS)
 
 
 @pytest.mark.parametrize("problem_class", ALL_CLASSES, ids=str)

@@ -5,7 +5,10 @@ with the model checker on the matching Kripke encoding for every node of a
 random bounded-degree graph -- Theorem 2's "formula -> algorithm" half as a
 hypothesis property.  It must also agree with the seed
 :class:`FormulaAlgorithm` state by state: in every round, every node's flat
-byte state decodes to the seed's three-valued assignment.
+byte state decodes to the seed's three-valued assignment.  And the batched
+formula side, one check on the disjoint union of the distinct encodings of
+many numberings, must label each numbering as the seed checker labels its
+own encoding.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.execution.runner import run
-from repro.graphs.generators import random_bounded_degree_graph
+from repro.graphs.generators import cycle_graph, random_bounded_degree_graph
 from repro.graphs.ports import random_port_numbering
-from repro.logic.semantics import extension
+from repro.logic.semantics import extension, reference_extension
 from repro.logic.syntax import And, Bottom, Diamond, GradedDiamond, Not, Or, Prop, Top
 from repro.machines.algorithm import Output
 from repro.machines.models import ProblemClass
-from repro.modal.encoding import kripke_encoding, variant_for_class
+from repro.modal.correspondence import formula_outputs
+from repro.modal.encoding import kripke_encoding, kripke_unions, variant_for_class
 from repro.modal.formula_to_algorithm import (
     UNDEFINED,
     FormulaAlgorithm,
@@ -154,3 +158,52 @@ def test_compiled_states_equal_the_seed_states(problem_class, data, graph_seed, 
     assert len(compiled_history) == len(seed.trace.state_history)
     for compiled_states, seed_states in zip(compiled_history, seed.trace.state_history):
         assert {node: _seed_form(s) for node, s in compiled_states.items()} == seed_states
+
+
+def _assert_seed_labellings(graph, numberings, formula, problem_class) -> None:
+    """``formula_outputs`` labels every numbering as the seed checker labels
+    that numbering's own encoding."""
+    variant = variant_for_class(problem_class)
+    labellings = formula_outputs(graph, numberings, formula, problem_class)
+    assert len(labellings) == len(numberings)
+    for numbering, labelling in zip(numberings, labellings):
+        truth = reference_extension(kripke_encoding(graph, numbering, variant), formula)
+        assert labelling == {node: int(node in truth) for node in graph.nodes}
+
+
+@pytest.mark.parametrize("problem_class", list(ProblemClass), ids=str)
+@given(
+    data=st.data(),
+    graph_seed=st.integers(0, 10_000),
+    numbering_seeds=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_labellings_equal_the_seed_checker(
+    problem_class, data, graph_seed, numbering_seeds
+):
+    """Numberings drawn from four seeds repeat, so equal encodings share a
+    copy of the union; each copy is a generated submodel (Fact 1)."""
+    formula = data.draw(class_formulas(problem_class))
+    graph = random_bounded_degree_graph(6, 3, seed=graph_seed)
+    numberings = [
+        random_port_numbering(
+            graph, random.Random(seed), consistent=problem_class.requires_consistency
+        )
+        for seed in numbering_seeds
+    ]
+    _assert_seed_labellings(graph, numberings, formula, problem_class)
+
+
+def test_batched_labellings_span_two_unions():
+    """200 distinct VV encodings of an 8-cycle are 1,600 worlds: two unions."""
+    graph = cycle_graph(8)
+    rng = random.Random(8)
+    numberings = [random_port_numbering(graph, rng) for _ in range(200)]
+    unions, _places = kripke_unions(graph, numberings, variant_for_class(ProblemClass.VV))
+    assert len(unions) == 2
+    assert sum(len(union.worlds) for union in unions) == 1600
+    formula = Or(
+        Diamond(Diamond(Prop("deg2"), index=(1, 2)), index=(2, 1)),
+        Not(Diamond(Top(), index=(1, 1))),
+    )
+    _assert_seed_labellings(graph, numberings, formula, ProblemClass.VV)
