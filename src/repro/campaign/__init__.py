@@ -6,13 +6,17 @@ A campaign turns "imagine a scenario" into a sharded, cached, resumable run:
   families with parameter ranges, port-numbering strategies, model classes or
   algorithms, formula sets, engines, seeds) and expands deterministically
   into content-hashed :class:`~repro.campaign.spec.Scenario` units;
-* :func:`~repro.campaign.executor.run_campaign` shards scenarios across
-  multiprocessing workers, routes them through the compiled batch APIs
+* :class:`~repro.campaign.executor.CampaignService` is the one dispatcher:
+  it cuts the scenarios a store does not hold yet into units, evaluates each
+  unit as one ``concurrent.futures`` future (on worker processes or
+  in-process) through the compiled batch APIs
   (:func:`repro.execution.engine.run_iter`,
   :func:`repro.logic.engine.check_many`), and persists records in a
   content-addressed :class:`~repro.campaign.store.ResultStore`, so re-invoked
-  campaigns resume from the store and sharding never changes the manifest
-  digest;
+  campaigns resume from the store and workers never change the manifest
+  digest.  A dead worker fails the jobs it touched with
+  ``BrokenProcessPool`` instead of hanging them;
+* :func:`~repro.campaign.executor.run_campaign` is its one-shot client;
 * :mod:`~repro.campaign.aggregate` streams records through per-axis rollup
   folds (:class:`~repro.campaign.aggregate.CampaignRollup`) into the same
   :class:`~repro.experiments.report.ExperimentResult` tables the experiment
@@ -21,9 +25,9 @@ A campaign turns "imagine a scenario" into a sharded, cached, resumable run:
   keeps the loose-object layout, ``sqlite:path`` is a single WAL-mode
   database safe for concurrent writers, and :func:`migrate_store` converts
   between them with digest verification;
-* :class:`~repro.campaign.service.CampaignService` is the long-lived
-  work-queue form of the executor -- asynchronous submission, cross-campaign
-  in-flight dedup, streaming rollups, cancellation -- served over TCP by
+* the same service is long-lived behind :mod:`~repro.campaign.service` --
+  asynchronous submission, cross-campaign in-flight dedup, streaming
+  rollups, cancellation -- served over TCP by
   ``python -m repro.campaign serve|submit|status|cancel``;
 * ``python -m repro.campaign run|resume|report|list|migrate`` is the
   one-shot CLI, with built-in campaigns (:mod:`~repro.campaign.builtin`)
@@ -53,10 +57,10 @@ __getattr__, __dir__ = _lazy_exports(
         "CampaignRun": ".executor",
         "evaluate_scenarios": ".executor",
         "run_campaign": ".executor",
-        "CampaignService": ".service",
+        "CampaignService": ".executor",
         "CampaignServiceServer": ".service",
         "ServiceClient": ".service",
-        "ServiceError": ".service",
+        "ServiceError": ".executor",
         "ALGORITHMS": ".registry",
         "FORMULA_SETS": ".registry",
         "GRAPH_FAMILIES": ".registry",

@@ -22,7 +22,9 @@ backend.  ``run`` accepts a built-in campaign name or a path to a JSON spec
 file; it is resumable by construction (scenarios already in the store are
 skipped).  ``resume`` re-invokes a campaign whose spec is recovered from the
 stored manifest (or a built-in), so an interrupted run continues without the
-original spec file.  ``report`` aggregates the stored records into the same
+original spec file.  Both run the campaign as one job of an in-process
+:class:`~repro.campaign.executor.CampaignService` and print that job's
+rollup.  ``report`` aggregates the stored records into the same
 paper-vs-measured table the experiment harness prints; ``--json`` emits the
 machine-readable form CI consumes.  ``migrate`` copies a store between
 backends and verifies byte-identical manifests and matching digests before
@@ -50,10 +52,9 @@ import sys
 from pathlib import Path
 
 from repro import obs
-from repro.campaign.aggregate import campaign_result, load_records
+from repro.campaign.aggregate import report_campaign
 from repro.campaign.backends import migrate_store
 from repro.campaign.builtin import BUILTIN_CAMPAIGNS, builtin_spec
-from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, StoreError
 from repro.experiments.report import format_report
@@ -100,11 +101,7 @@ def _resolve_spec(target: str, store: ResultStore, prefer_manifest: bool) -> Cam
     )
 
 
-def _print_report(
-    store: ResultStore, name: str, as_json: bool, run_summary=None, metrics=None
-) -> bool:
-    spec, records = load_records(store, name)
-    result = campaign_result(spec, records)
+def _print_report(result, as_json: bool, run_summary=None, metrics=None) -> bool:
     if as_json:
         payload = result.to_dict()
         if run_summary is not None:
@@ -395,6 +392,10 @@ def main(argv: list[str]) -> int:
         return 0
 
     if args.command in ("run", "resume"):
+        # The dispatcher and the engines it drives load only for the verbs
+        # that evaluate scenarios.
+        from repro.campaign.executor import run_campaign
+
         if args.metrics:
             obs.enable()
         if args.trace:
@@ -416,16 +417,17 @@ def main(argv: list[str]) -> int:
             # Close the sink so the trace file is complete before report time.
             obs.stop_tracing()
         metrics = obs.snapshot() if args.metrics else None
+        # The run's own rollup: no second pass over its records.
         return 0 if _print_report(
-            store, spec.name, args.json, run_summary=summary, metrics=metrics
+            summary.result(), args.json, run_summary=summary, metrics=metrics
         ) else 1
 
     # report
     try:
-        ok = _print_report(store, args.campaign, args.json)
+        result = report_campaign(store, args.campaign)
     except (KeyError, StoreError) as error:
         raise SystemExit(f"error: {error.args[0]}") from None
-    return 0 if ok else 1
+    return 0 if _print_report(result, args.json) else 1
 
 
 if __name__ == "__main__":

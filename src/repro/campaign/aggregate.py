@@ -8,9 +8,9 @@ the ``--json`` machine-readable path work identically for experiments and
 campaigns, and CI consumes one record shape for both.
 
 Everything is *incremental*: ``fold`` consumes a single record, ``result``
-(or ``rollups``) finalizes whatever has been folded so far.  The work-queue
-service folds per-shard results as they land, so a finished campaign's report
-is ready without reloading a single record; the batch helpers
+(or ``rollups``) finalizes whatever has been folded so far.  The campaign
+dispatcher folds each unit's records as they land, so a finished run's report
+rereads only its store hits; the batch helpers
 (:func:`rollup_execution` & friends, :func:`campaign_result`) are thin loops
 over the same fold, which is what guarantees streaming and batch rollups are
 *exactly* equal -- they are one implementation.
@@ -237,9 +237,9 @@ class CampaignRollup:
 
     Fold records in any order, any number of times per batch; ``result()``
     finalizes into the same :class:`ExperimentResult` a batch aggregation of
-    the identical record set produces.  The work-queue service keeps one of
-    these per job and folds shard results as they complete, so report
-    generation at the end touches no stored records at all.
+    the identical record set produces.  The campaign dispatcher keeps one of
+    these per job and folds each unit's records as they land, so the report
+    reads back only the job's store hits.
     """
 
     def __init__(self, spec: CampaignSpec) -> None:

@@ -58,6 +58,7 @@ from repro.logic.syntax import (
     Top,
     formula_pool,
     modal_depth,
+    tree_size,
 )
 from repro.machines.algorithm import NO_MESSAGE, Algorithm, Output
 from repro.machines.models import Model, ProblemClass, ReceiveMode, SendMode
@@ -68,6 +69,21 @@ UNDEFINED = "U"
 
 #: The byte that stands for :data:`UNDEFINED` in a compiled flat state.
 _UNKNOWN = 2
+
+#: Formulas with a smaller tree are printed in full in an algorithm's
+#: ``name``; larger ones are described by their size.  Printing recurses
+#: once per tree level, so a tree this small also prints well within the
+#: default recursion limit, while the tree of a Table 4/5 formula can be
+#: exponentially larger than its DAG.
+_NAME_TREE_LIMIT = 200
+
+
+def _formula_label(formula: Formula) -> str:
+    """The formula as printed in an algorithm name: in full when small."""
+    size = tree_size(formula)
+    if size < _NAME_TREE_LIMIT:
+        return str(formula)
+    return f"tree_size={size}, modal_depth={modal_depth(formula)}"
 
 
 def _normalise(formula: Formula) -> Formula:
@@ -199,7 +215,7 @@ class FormulaAlgorithm(Algorithm):
 
     @property
     def name(self) -> str:
-        return f"FormulaAlgorithm[{self._class}]({self._original})"
+        return f"FormulaAlgorithm[{self._class}]({_formula_label(self._original)})"
 
     @property
     def formula(self) -> Formula:
@@ -449,7 +465,7 @@ class CompiledFormulaAlgorithm(Algorithm):
 
     @property
     def name(self) -> str:
-        return f"CompiledFormulaAlgorithm[{self._class}]({self._original})"
+        return f"CompiledFormulaAlgorithm[{self._class}]({_formula_label(self._original)})"
 
     @property
     def formula(self) -> Formula:

@@ -606,7 +606,7 @@ class TestCli:
 
         spec = tiny_spec()
         scenarios = spec.expand()
-        monkeypatch.setattr(executor, "SERIAL_CHUNK", 4)
+        monkeypatch.setattr(executor, "SERVICE_SHARD", 4)
         calls = {"n": 0}
         real = executor.evaluate_scenarios
 

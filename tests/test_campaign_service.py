@@ -11,7 +11,15 @@ the stored records.
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +37,12 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.service import handle_request
+
+
+#: The pinned manifest digest of the built-in ``smoke`` campaign.
+SMOKE_DIGEST = "32aae15efaf7ad7d7110cedf39fb8b5dbbbf9312565c86bea0b892227753ffb9"
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def exec_spec(name: str = "svc", sizes: list[int] | None = None) -> CampaignSpec:
@@ -118,16 +132,16 @@ class TestServiceLifecycle:
         # The second job's store probe misses scenarios the first job still
         # has in flight; the first job folds them before the second job
         # classifies them, so they are store hits, not a second execution.
-        from repro.campaign import service as service_module
+        from repro.campaign import executor
 
         release = threading.Event()
-        evaluate = service_module.evaluate_scenarios
+        evaluate = executor.evaluate_scenarios
 
         def gated_evaluate(scenarios):
             release.wait(timeout=60)
             return evaluate(scenarios)
 
-        monkeypatch.setattr(service_module, "evaluate_scenarios", gated_evaluate)
+        monkeypatch.setattr(executor, "evaluate_scenarios", gated_evaluate)
         small = exec_spec("small", sizes=[4, 5])
         large = exec_spec("large", sizes=[4, 5, 6, 7])
         first = service.submit(small)
@@ -203,12 +217,12 @@ class TestServiceLifecycle:
         assert status["manifest_digest"] == service.status(first)["manifest_digest"]
 
     def test_shard_failure_fails_the_job_with_a_reason(self, tmp_path, monkeypatch):
-        from repro.campaign import service as service_module
+        from repro.campaign import executor
 
         def boom(scenarios):
             raise RuntimeError("engine exploded")
 
-        monkeypatch.setattr(service_module, "evaluate_scenarios", boom)
+        monkeypatch.setattr(executor, "evaluate_scenarios", boom)
         svc = CampaignService(str(tmp_path / "store"))
         try:
             job = svc.submit(exec_spec())
@@ -219,11 +233,181 @@ class TestServiceLifecycle:
         finally:
             svc.shutdown(wait=False)
 
+    def test_fold_failures_fail_their_jobs_and_are_counted(self, tmp_path, monkeypatch):
+        from repro import obs
+
+        def refuse(records, overwrite=False):
+            raise OSError("disk full")
+
+        obs.REGISTRY.clear()
+        obs.enable()
+        svc = CampaignService(str(tmp_path / "store"))
+        monkeypatch.setattr(svc.store, "put_many", refuse)
+        try:
+            jobs = [svc.submit(exec_spec("first", [4])), svc.submit(exec_spec("second", [5]))]
+            assert svc.wait(timeout=60)
+            for job in jobs:
+                status = svc.status(job)
+                assert status["status"] == "failed"
+                assert "OSError: disk full" in status["error"]
+            assert svc.metrics_snapshot()["counters"]["fallback.campaign.fold"] == 2
+        finally:
+            svc.shutdown(wait=False)
+            obs.disable()
+            obs.REGISTRY.clear()
+
+    def test_a_vanished_store_hit_fails_the_report_and_reruns_on_resubmit(self, service):
+        # Store hits are read when the report is asked for, not at submit:
+        # a record deleted in between surfaces as the store's KeyError.
+        spec = exec_spec()
+        assert service.wait(service.submit(spec), timeout=120)
+        warm = service.submit(spec)
+        assert service.wait(warm, timeout=120)
+        assert service.status(warm)["store_hits"] == service.status(warm)["total"]
+        gone = spec.expand()[0].content_hash()
+        (service.store.root / "objects" / gone[:2] / f"{gone}.json").unlink()
+        with pytest.raises(KeyError, match=gone):
+            service.result(warm)
+        again = service.submit(spec)
+        assert service.wait(again, timeout=120)
+        status = service.status(again)
+        assert status["status"] == "done"
+        assert status["executed"] == 1
+        assert status["store_hits"] == status["total"] - 1
+        assert service.result(again).all_match
+
     def test_submit_after_shutdown_is_refused(self, tmp_path):
         svc = CampaignService(str(tmp_path / "store"))
         svc.shutdown()
         with pytest.raises(ServiceError, match="shut down"):
             svc.submit(exec_spec())
+
+
+#: Preamble of the worker-death scripts: every campaign worker process dies
+#: (``os._exit``) on its first unit until ``heal()`` restores evaluation.
+_KILL_WORKERS = """
+import multiprocessing, os, sys
+from concurrent.futures.process import BrokenProcessPool
+from repro.campaign import CampaignService, builtin_spec, executor, run_campaign
+
+# Forked workers inherit the patch below, whatever the default start method.
+multiprocessing.set_start_method("fork")
+PARENT = os.getpid()
+REAL = executor.evaluate_scenarios
+STORE = sys.argv[1]
+
+
+def die_in_workers(scenarios):
+    if os.getpid() != PARENT:
+        os._exit(3)
+    return REAL(scenarios)
+
+
+def heal():
+    executor.evaluate_scenarios = REAL
+
+
+executor.evaluate_scenarios = die_in_workers
+"""
+
+
+def _run_with_deadline(script: str, store: Path, deadline: float = 60.0) -> list[str]:
+    """Run a worker-death script in a fresh interpreter; a hang fails the test.
+
+    The script runs in its own session, so a timeout kills its pool workers
+    along with it.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = _KILL_WORKERS + textwrap.dedent(script)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, str(store)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=deadline)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"a dead campaign worker hung the run for {deadline:.0f}s")
+    assert proc.returncode == 0, err
+    return out.split()
+
+
+class TestWorkerDeath:
+    """A worker process that dies fails its jobs in bounded time."""
+
+    def test_run_campaign_raises_broken_process_pool(self, tmp_path):
+        out = _run_with_deadline(
+            """
+            try:
+                run_campaign(builtin_spec("smoke"), STORE, workers=2)
+            except BrokenProcessPool:
+                print("broken")
+            heal()
+            print(run_campaign(builtin_spec("smoke"), STORE).manifest_digest)
+            """,
+            tmp_path / "store",
+        )
+        assert out == ["broken", SMOKE_DIGEST]
+
+    def test_service_fails_the_job_and_recovers_for_the_next(self, tmp_path):
+        out = _run_with_deadline(
+            """
+            service = CampaignService(STORE, workers=2)
+            job = service.submit(builtin_spec("smoke"))
+            print(service.wait(job))
+            status = service.status(job)
+            print(status["status"], "BrokenProcessPool" in status["error"])
+            heal()
+            again = service.submit(builtin_spec("smoke"))
+            print(service.wait(again), service.status(again)["manifest_digest"])
+            service.shutdown()
+            print(run_campaign(builtin_spec("smoke"), STORE).manifest_digest)
+            """,
+            tmp_path / "store",
+        )
+        assert out == ["True", "failed", "True", "True", SMOKE_DIGEST, SMOKE_DIGEST]
+
+
+class TestConcurrentClients:
+    def test_overlapping_submissions_from_many_threads_execute_each_scenario_once(
+        self, tmp_path
+    ):
+        """Client threads race the dispatch loop (workers outnumber the cores,
+        the switch interval is tiny); a lost update in the in-flight
+        bookkeeping would run a scenario twice or leave a job waiting."""
+        specs = [exec_spec(f"race-{i}", sizes=[4 + i % 3, 5 + i % 3, 9]) for i in range(8)]
+        distinct = {s.content_hash() for spec in specs for s in spec.expand()}
+        interval = sys.getswitchinterval()
+        svc = CampaignService(str(tmp_path / "store"), workers=3)
+        try:
+            sys.setswitchinterval(1e-5)
+            jobs: list[str] = []
+            threads = [
+                threading.Thread(target=lambda spec=spec: jobs.append(svc.submit(spec)))
+                for spec in specs
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert len(jobs) == len(specs)
+            assert svc.wait(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            svc.shutdown(wait=False)
+        statuses = [svc.status(job) for job in jobs]
+        assert all(status["status"] == "done" for status in statuses), statuses
+        for status in statuses:
+            answered = status["executed"] + status["store_hits"] + status["inflight_hits"]
+            assert answered == status["total"], status
+        assert sum(status["executed"] for status in statuses) == len(distinct)
 
 
 class TestDigestIdentityAcrossPaths:
@@ -272,6 +456,34 @@ class TestProtocol:
             service, {"cmd": "submit", "spec": "no-such-campaign"}
         )["error"]
         assert handle_request(service, {"cmd": "status", "job": "job-7"})["ok"] is False
+
+    def test_bad_lines_get_an_error_and_the_connection_survives(self, tmp_path):
+        svc = CampaignService(str(tmp_path / "store"))
+        server = CampaignServiceServer(svc)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.address, timeout=30) as sock:
+                stream = sock.makefile("rwb")
+
+                def ask(line: str) -> dict:
+                    stream.write(line.encode("utf-8") + b"\n")
+                    stream.flush()
+                    return json.loads(stream.readline())
+
+                assert ask("42") == {"ok": False, "error": "bad request: expected a JSON object"}
+                assert ask('{"cmd": "ping"}') == {"ok": True, "pong": True}
+                for command in ("cancel", "report"):
+                    reply = ask(json.dumps({"cmd": command}))
+                    assert reply["ok"] is False
+                    assert "needs a 'job' field" in reply["error"], reply
+                assert ask('["ping"]')["ok"] is False
+                assert ask('{"cmd": "ping"}') == {"ok": True, "pong": True}
+                stream.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+            svc.shutdown(wait=False)
 
     def test_tcp_round_trip(self, tmp_path):
         svc = CampaignService(str(tmp_path / "store"))

@@ -137,6 +137,24 @@ class TestMetadata:
         algorithm = algorithm_for_formula(Prop("deg1"), ProblemClass.MB)
         assert "MB" in algorithm.name and "deg1" in algorithm.name
 
+    @pytest.mark.parametrize("engine", ["compiled", "sweep", "vector"])
+    def test_a_stalled_large_formula_algorithm_raises_execution_error(self, engine):
+        """The name of a Table 4/5 formula algorithm describes its formula
+        instead of printing a tree whose printer would exhaust the stack."""
+        from repro.engines import available_engines
+        from repro.execution.engine import ExecutionError, run_many
+        from repro.machines.library import reference_machine
+        from repro.modal.algorithm_to_formula import formula_for_machine
+
+        if engine not in available_engines():
+            pytest.skip(f"engine {engine!r} is unavailable")
+        vv = ProblemClass.VV
+        phi = formula_for_machine(reference_machine(vv, delta=3), vv, 2)
+        algorithm = algorithm_for_formula(phi, vv)
+        with pytest.raises(ExecutionError, match=r"\[VV\]\(tree_size=\d+, modal_depth=2\)"):
+            run_many(algorithm, [star_graph(3)], max_rounds=1, engine=engine)
+        assert "tree_size=" in FormulaAlgorithm(phi, vv).name
+
     def test_formula_and_class_accessors(self):
         phi = Diamond(Prop("deg1"), index=("*", "*"))
         algorithm = FormulaAlgorithm(phi, ProblemClass.SB)
