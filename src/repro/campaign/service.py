@@ -28,8 +28,10 @@ from repro.campaign.executor import (
     CampaignService,
     Job,
     ServiceError,
+    _log,
 )
 from repro.campaign.spec import CampaignSpec
+from repro.obs import metrics as _metrics
 from repro.obs.export import prometheus_text
 
 __all__ = [
@@ -107,6 +109,19 @@ def handle_request(service: CampaignService, request: Any) -> dict[str, Any]:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
+        try:
+            self._serve_lines()
+        except ConnectionError as error:
+            # A client that resets mid-request ends only its own connection:
+            # count it and log one line instead of socketserver's traceback.
+            if _metrics.enabled():
+                _metrics.counter("service.client.disconnects").inc()
+            _log.warning(
+                "client %s dropped the connection mid-request: %s",
+                self.client_address, error,
+            )
+
+    def _serve_lines(self) -> None:
         for line in self.rfile:
             if not line.strip():
                 continue

@@ -46,9 +46,15 @@ class Graph:
     # ``__weakref__`` lets the execution engine keep a weak per-graph cache of
     # compiled topology (repro.execution.engine) without pinning graphs alive;
     # ``_default_compiled`` caches the compiled instance for the canonical
-    # consistent numbering directly on the graph (owned by the engine), so its
-    # lifetime is exactly the graph's.
-    __slots__ = ("_adjacency", "_nodes", "_edges", "_hash", "_default_compiled", "__weakref__")
+    # consistent numbering directly on the graph (owned by the engine), and
+    # ``_numberings`` memoizes the adversary's exhaustive enumerations, keyed
+    # by ``consistent_only`` (owned by repro.execution.adversary).  Every
+    # numbering refers back to its graph, so only a slot gives these caches
+    # exactly the graph's lifetime; both are process-local and never pickled.
+    __slots__ = (
+        "_adjacency", "_nodes", "_edges", "_hash", "_default_compiled", "_numberings",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -76,6 +82,7 @@ class Graph:
         self._edges: tuple[Edge, ...] = tuple(edge_list)
         self._hash: int | None = None
         self._default_compiled: Any = None
+        self._numberings: dict[bool, tuple[Any, ...]] | None = None
 
     # ------------------------------------------------------------------ #
     # Basic queries
@@ -314,6 +321,7 @@ class Graph:
         self._edges = state["_edges"]
         self._hash = None
         self._default_compiled = None
+        self._numberings = None
 
     def __contains__(self, node: Node) -> bool:
         return node in self._adjacency

@@ -389,30 +389,42 @@ def formula_for_machine(
             return _set_specs(cells, degree)
         return _set_specs(messages, degree)
 
+    def check_pool_growth(where: str) -> None:
+        """Backstop for a prediction that underestimated."""
+        if max_formula_nodes is not None:
+            grown = len(pool) - pool_start
+            if grown > max_formula_nodes:
+                raise FormulaSizeError(
+                    grown, 0, max_formula_nodes, f"live pool growth at {where}"
+                )
+
     # Build phi for t = 1..T.
     for time in range(1, running_time + 1):
         accumulator: dict[Any, list[Formula]] = {state: [] for state in all_states}
         # A halted node stays halted, no matter what it receives.
         for state in stopping:
             accumulator[state].append(phi[(state, time - 1)])
-        for state in intermediate:
+        # A received-message condition does not depend on the state, so each
+        # degree's (guard, [(condition, vector), ...]) row is built once per
+        # round -- and only if some intermediate state is there to use it.
+        rows: list[tuple[Formula, list[tuple[Formula, tuple[Any, ...]]]]] = []
+        if intermediate:
             for degree in range(0, delta + 1):
                 degree_guard = _degree_formula(degree, delta)
-                for spec in specs_for_degree(degree):
-                    condition, vector = spec_condition_and_vector(spec, degree, time)
-                    successor = next_state(state, vector)
-                    accumulator[successor].append(
-                        And(And(degree_guard, phi[(state, time - 1)]), condition)
+                conditions = [
+                    spec_condition_and_vector(spec, degree, time)
+                    for spec in specs_for_degree(degree)
+                ]
+                rows.append((degree_guard, conditions))
+                check_pool_growth(f"t={time}, degree={degree}")
+        for state in intermediate:
+            previous = phi[(state, time - 1)]
+            for degree, (degree_guard, conditions) in enumerate(rows):
+                for condition, vector in conditions:
+                    accumulator[next_state(state, vector)].append(
+                        And(And(degree_guard, previous), condition)
                     )
-                if max_formula_nodes is not None:
-                    grown = len(pool) - pool_start
-                    if grown > max_formula_nodes:
-                        # Backstop for a prediction that underestimated.
-                        raise FormulaSizeError(
-                            grown, 0, max_formula_nodes,
-                            f"live pool growth at t={time}, state={state!r}, "
-                            f"degree={degree}",
-                        )
+                check_pool_growth(f"t={time}, state={state!r}, degree={degree}")
         for state in all_states:
             phi[(state, time)] = disjunction(accumulator[state])
 

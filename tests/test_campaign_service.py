@@ -15,10 +15,12 @@ import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import textwrap
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -484,6 +486,39 @@ class TestProtocol:
             server.shutdown()
             server.server_close()
             svc.shutdown(wait=False)
+
+    def test_a_client_reset_mid_request_is_counted_not_printed(self, tmp_path, capsys):
+        from repro import obs
+
+        obs.REGISTRY.clear()
+        obs.enable()
+        svc = CampaignService(str(tmp_path / "store"))
+        server = CampaignServiceServer(svc)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            sock = socket.create_connection(server.address, timeout=30)
+            # Linger 0: close() sends a reset instead of a graceful FIN, while
+            # the server is still answering the queued requests.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.sendall(b'{"cmd": "status"}\n' * 200)
+            sock.close()
+            deadline = time.monotonic() + 10
+            counters = svc.metrics_snapshot()["counters"]
+            while "service.client.disconnects" not in counters:
+                assert time.monotonic() < deadline, "the reset was never noticed"
+                time.sleep(0.01)
+                counters = svc.metrics_snapshot()["counters"]
+            assert counters["service.client.disconnects"] == 1
+            with ServiceClient(*server.address) as client:
+                assert client.ping()
+        finally:
+            server.shutdown()
+            server.server_close()
+            svc.shutdown(wait=False)
+            obs.disable()
+            obs.REGISTRY.clear()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_tcp_round_trip(self, tmp_path):
         svc = CampaignService(str(tmp_path / "store"))

@@ -2,15 +2,28 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+import weakref
+from pathlib import Path
+
 from repro.algorithms.basic import GatherDegreesAlgorithm, PortEchoAlgorithm
 from repro.algorithms.leaf_election import LeafElectionAlgorithm
 from repro.execution.adversary import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
     distinct_outputs,
     outputs_over_port_numberings,
     port_numberings_to_check,
 )
+from repro.execution.engine import compiled_for
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.graphs.ports import count_port_numberings
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestPortNumberingsToCheck:
@@ -41,6 +54,103 @@ class TestPortNumberingsToCheck:
         numberings = list(port_numberings_to_check(graph, consistent_only=True))
         assert len(numberings) == 6
         assert all(p.is_consistent() for p in numberings)
+
+
+class TestEnumerationMemo:
+    """Exhaustive enumerations are built once per graph object."""
+
+    def test_repeated_calls_yield_the_identical_numberings(self):
+        graph = star_graph(3)
+        for consistent_only, total in ((False, 36), (True, 6)):
+            first = list(port_numberings_to_check(graph, consistent_only=consistent_only))
+            second = list(port_numberings_to_check(graph, consistent_only=consistent_only))
+            assert len(first) == total
+            assert all(a is b for a, b in zip(first, second, strict=True))
+        consistent = list(port_numberings_to_check(graph, consistent_only=True))
+        general = list(port_numberings_to_check(graph))
+        assert not any(p is q for p in consistent for q in general)
+
+    def test_the_second_sweep_reuses_each_compiled_instance(self):
+        graph = cycle_graph(4)
+        first = [compiled_for(graph, p) for p in port_numberings_to_check(graph)]
+        second = [compiled_for(graph, p) for p in port_numberings_to_check(graph)]
+        assert len(first) == 256
+        assert all(a is b for a, b in zip(first, second, strict=True))
+
+    def test_the_memo_does_not_keep_its_graph_alive(self):
+        def enumerate_and_compile() -> weakref.ref:
+            graph = cycle_graph(5)
+            for numbering in port_numberings_to_check(graph):
+                compiled_for(graph, numbering)
+            return weakref.ref(graph)
+
+        ref = enumerate_and_compile()
+        gc.collect()
+        assert ref() is None
+
+    def test_a_pickled_graph_carries_no_memo(self):
+        graph = star_graph(3)
+        numberings = list(port_numberings_to_check(graph))
+        assert graph._numberings is not None
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone == graph and clone._numberings is None
+        assert len(pickle.dumps(graph)) == len(pickle.dumps(star_graph(3)))
+        reloaded = list(port_numberings_to_check(clone))
+        assert reloaded == numberings
+        assert not any(p is q for p, q in zip(reloaded, numberings))
+
+    def test_sampled_numberings_are_not_retained(self):
+        graph = path_graph(3)  # 4 numberings; a limit of 2 samples them
+        first = list(port_numberings_to_check(graph, exhaustive_limit=2, samples=3))
+        second = list(port_numberings_to_check(graph, exhaustive_limit=2, samples=3))
+        assert len(first) == len(second) == 4
+        assert first == second and not any(p is q for p, q in zip(first, second))
+        assert graph._numberings is None
+
+    def test_enumerations_above_the_default_limit_are_not_retained(self):
+        graph = cycle_graph(6)
+        total = count_port_numberings(graph)
+        assert total == 4096 > DEFAULT_EXHAUSTIVE_LIMIT
+        first = next(iter(port_numberings_to_check(graph, exhaustive_limit=total)))
+        streamed = list(port_numberings_to_check(graph, exhaustive_limit=total))
+        assert len(streamed) == total
+        assert streamed[0] == first and streamed[0] is not first
+        assert graph._numberings is None
+
+
+def test_e4_builds_each_numbering_once():
+    """Work pin: E4 enumerates each witness graph's numberings once.
+
+    It runs in a fresh interpreter because the memo lives on E4's
+    module-level graphs, so an in-process count would depend on which tests
+    ran first.  The count was 4,414 before the memo.
+    """
+    code = textwrap.dedent(
+        """
+        from repro.graphs import ports
+
+        built = 0
+        real_init = ports.PortNumbering.__init__
+
+        def counting_init(self, *args, **kwargs):
+            global built
+            built += 1
+            real_init(self, *args, **kwargs)
+
+        ports.PortNumbering.__init__ = counting_init
+        from repro.experiments.registry import run_experiment
+
+        assert run_experiment("E4").all_match
+        print(built)
+        """
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 388
 
 
 class TestOutputsOverNumberings:

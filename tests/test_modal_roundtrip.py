@@ -12,6 +12,11 @@ node budget (:class:`FormulaSizeError`).
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +52,8 @@ from repro.modal.correspondence import (
 from repro.modal.formula_to_algorithm import FormulaAlgorithm, algorithm_for_formula
 
 ALL_CLASSES = list(ProblemClass)
+
+REPO = Path(__file__).resolve().parent.parent
 
 #: Max degree 3: a star plus a path, swept exhaustively per numbering.
 DELTA3_GRAPHS = (star_graph(3), path_graph(4))
@@ -349,6 +356,60 @@ class TestFormulaSizeBudget:
         assert grown <= predicted
         assert specs > 0
 
+    def test_live_pool_growth_backstops_an_underestimate(self, monkeypatch):
+        """The live guard fires within a round when the prediction is wrong.
+
+        No test builds a Delta=5 Vector formula (its prediction is far over
+        the default budget), so interning cannot hide the growth.
+        """
+        monkeypatch.setattr(
+            "repro.modal.algorithm_to_formula.predict_formula_nodes",
+            lambda machine, problem_class, running_time: (0, 0),
+        )
+        machine = reference_machine(ProblemClass.VV, delta=5)
+        with pytest.raises(FormulaSizeError, match="live pool growth at t=1") as err:
+            formula_for_machine(machine, ProblemClass.VV, 1, max_formula_nodes=2_000)
+        # It fired after one degree's rows, not after the whole round.
+        assert 2_000 < err.value.predicted_nodes < 100_000
+        assert err.value.budget == 2_000
+
+    def test_a_machine_without_intermediate_states_allocates_no_conditions(self):
+        """Only the degree and state formulas: no received-message rows.
+
+        Run in a fresh interpreter, where the pool is empty, so interning
+        cannot hide any growth (message names never appear in a formula
+        node, so unique names alone would not defeat it).  Building the rows
+        anyway would grow the pool by 283 nodes.
+        """
+        code = textwrap.dedent(
+            """
+            from repro.logic.syntax import formula_pool
+            from repro.machines.models import ProblemClass
+            from repro.machines.state_machine import FiniteStateMachine
+            from repro.modal.algorithm_to_formula import formula_for_machine
+
+            machine = FiniteStateMachine(
+                delta_bound=3,
+                intermediate_states=frozenset(),
+                stopping_states=frozenset({0, 1}),
+                messages=frozenset({"halted-only-m1", "halted-only-m2"}),
+                initial_states={0: 0, 1: 1, 2: 0, 3: 1},
+                message_table=lambda state, port: "halted-only-m1",
+                transition_table=lambda state, padded: state,
+            )
+            before = len(formula_pool())
+            formula_for_machine(machine, ProblemClass.VV, 2)
+            print(len(formula_pool()) - before)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 10
+
     def test_roundtrip_report_threads_the_budget(self):
         machine = reference_machine(ProblemClass.VV, delta=3)
         with pytest.raises(FormulaSizeError):
@@ -369,6 +430,33 @@ class TestEmittedFormulas:
         assert modal_depth(formula) == 1
         deep = reference_machine(problem_class, delta=2, rounds=2)
         assert modal_depth(formula_for_machine(deep, problem_class, 2)) == 2
+
+    @pytest.mark.parametrize(
+        "name, delta, sizes",
+        [
+            ("SB", 2, (39, 205, 1)), ("SB", 3, (62, 525, 1)), ("SB", 4, (84, 965, 1)),
+            ("MB", 2, (14, 33, 1)), ("MB", 3, (38, 193, 1)), ("MB", 4, (76, 661, 1)),
+            ("VB", 2, (35, 163, 1)), ("VB", 3, (89, 868, 1)), ("VB", 4, (233, 4157, 1)),
+            ("MV", 2, (26, 91, 1)), ("MV", 3, (285, 2999, 1)), ("MV", 4, (3367, 55561, 1)),
+            ("SV", 2, (131, 1179, 1)), ("SV", 3, (1136, 18866, 1)),
+            ("SV", 4, (9507, 227257, 1)),
+            ("VV", 2, (88, 501, 1)), ("VV", 3, (1401, 17990, 1)),
+            ("VV", 4, (37760, 741689, 1)),
+            ("VVc", 3, (1401, 17990, 1)),
+        ],
+    )
+    def test_pinned_sizes(self, name, delta, sizes):
+        """``(dag_size, tree_size, modal_depth)`` of the one-round reference
+        formulas: e2's 18 ``parity`` coordinates (the six arbitrary-numbering
+        classes at Delta 2-4) and, at Delta 3, E4's seven round trips."""
+        problem_class = ProblemClass(name)
+        formula = formula_for_machine(
+            reference_machine(problem_class, delta, rounds=1),
+            problem_class,
+            1,
+            max_formula_nodes=5_000_000,
+        )
+        assert (dag_size(formula), tree_size(formula), modal_depth(formula)) == sizes
 
     def test_sharing_beats_the_tree_blowup(self):
         """The two-round Vector formula: tree in the millions, DAG tiny."""
