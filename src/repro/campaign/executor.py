@@ -183,10 +183,8 @@ def _worker_algorithm(name: str) -> Any:
             fast_path(registry.build_algorithm(name), memoize_transitions=True),
         )
     tables = algorithm.sweep_tables
-    vtables = algorithm.vector_tables
     if (
         (tables is not None and len(tables.configs) > _WORKER_CONFIG_LIMIT)
-        or (vtables is not None and vtables.config_count > _WORKER_CONFIG_LIMIT)
         or len(algorithm.transition_cache or ()) > _WORKER_CONFIG_LIMIT
         or algorithm.cache_size > _WORKER_CONFIG_LIMIT
     ):

@@ -37,7 +37,10 @@ This module executes the whole sweep over one superposed id space:
 
 Everything an instance does after the first one is therefore integer table
 lookups; the algorithm's own ``send``/``transition``/``is_stopping`` code
-runs only when a configuration is genuinely new.  The result is
+runs only when a configuration is genuinely new.  The NumPy vector kernel
+(:mod:`repro.execution.vector`) runs under the same batch entry point
+(:func:`run_batch`) and interns through the same closures
+(:func:`bind_interner`) into the same tables.  The result is
 node-for-node identical to the compiled engine and the seed reference
 runner (``tests/test_sweep_engine.py`` checks all seven classes
 differentially); both stay available as oracles through the ``engine`` knob
@@ -75,9 +78,11 @@ from repro.execution.engine import (
 __all__ = [
     "SweepStats",
     "SweepTables",
+    "bind_interner",
     "collapse_instances",
     "delivery_signature_of",
     "publish_stats",
+    "run_batch",
     "run_sweep",
     "stats_values",
     "sweep_tables_for",
@@ -104,8 +109,8 @@ def delivery_signature_of(model: Any, has_inputs: bool):
 
     Returns ``None`` when no collapse is sound: per-instance inputs break
     instance equality, and Vector receive with port-addressed sending
-    observes the full delivery map.  Shared by the superposed sweep engine
-    and the NumPy vector kernel (:mod:`repro.execution.vector`).
+    observes the full delivery map.  :func:`run_batch` applies it for both
+    the superposed sweep engine and the NumPy vector kernel.
     """
     broadcast = model.send is SendMode.BROADCAST
     vector_mode = model.receive is ReceiveMode.VECTOR
@@ -278,8 +283,8 @@ class SweepTables:
     * ``msg_values[msg_ids[m]] is m`` -- messages to dense ids (id 0 is the
       paper's ``m0``);
     * ``configs[(state_id, inbox_key)] -> (new_state_id, stopped)`` -- the
-      global configuration table: the transition function is consulted once
-      per key, ever;
+      global configuration table, shared by the sweep and vector kernels:
+      the transition function is consulted once per key, ever;
     * ``send_rows[(state_id, degree)]`` and the per-shape ``rebuild_rows``
       tables -- the interned outgoing-message row of a state, computed once
       per state (and degree, for port-addressed sending);
@@ -332,6 +337,81 @@ def sweep_tables_for(fast: FastPathAlgorithm) -> SweepTables:
         tables = SweepTables()
         fast.sweep_tables = tables
     return tables
+
+
+def bind_interner(fast: FastPathAlgorithm, tables: SweepTables) -> tuple:
+    """The interning closures over one wrapper's tables, for a kernel to bind.
+
+    Returns ``(intern_state, intern_msg, output_of, evaluate)``:
+
+    * ``intern_state(state)`` / ``intern_msg(message)`` -- the dense id of a
+      value, interned on first sight (with a state's stopping flag);
+    * ``output_of(sid)`` -- the local output of a stopping state, memoized
+      in ``tables.state_outputs``;
+    * ``evaluate(cfg)`` -- consult the algorithm for a configuration
+      ``(state_id, inbox)`` seen for the first time and write its
+      ``(new_state_id, stopped)`` entry into ``tables.configs``.
+
+    A configuration key's inbox is the tuple of received message ids,
+    canonical per receive mode (port order for Vector, sorted for Multiset,
+    sorted and deduplicated for Set).  Every kernel sharing the tables
+    builds the same key for the same configuration, so the transition
+    function runs once per key per wrapper, whichever engine met it first.
+    """
+    inner = fast.inner
+    cls = type(inner)
+    default_protocol = (
+        cls.is_stopping is Algorithm.is_stopping and cls.output is Algorithm.output
+    )
+    is_stopping = inner.is_stopping
+    transition = inner.transition
+    vector_mode = inner.model.receive is ReceiveMode.VECTOR
+    project = inner.model.receive.project
+    state_ids = tables.state_ids
+    state_values = tables.state_values
+    state_stops = tables.state_stops
+    state_outputs = tables.state_outputs
+    msg_ids = tables.msg_ids
+    msg_values = tables.msg_values
+    configs = tables.configs
+
+    def intern_state(state: Any) -> int:
+        sid = state_ids.get(state)
+        if sid is None:
+            sid = state_ids[state] = len(state_values)
+            state_values.append(state)
+            if default_protocol:
+                state_stops.append(isinstance(state, Output))
+            else:
+                state_stops.append(is_stopping(state))
+            state_outputs.append(_MISSING)
+        return sid
+
+    def intern_msg(message: Any) -> int:
+        mid = msg_ids.get(message)
+        if mid is None:
+            mid = msg_ids[message] = len(msg_values)
+            msg_values.append(message)
+        return mid
+
+    def output_of(sid: int) -> Any:
+        value = state_outputs[sid]
+        if value is _MISSING:
+            state = state_values[sid]
+            value = state.value if default_protocol else inner.output(state)
+            state_outputs[sid] = value
+        return value
+
+    def evaluate(cfg: tuple[int, tuple[int, ...]]) -> tuple[int, bool]:
+        vector = tuple(map(msg_values.__getitem__, cfg[1]))
+        new_state = transition(
+            state_values[cfg[0]], vector if vector_mode else project(vector)
+        )
+        nsid = intern_state(new_state)
+        entry = configs[cfg] = (nsid, state_stops[nsid])
+        return entry
+
+    return intern_state, intern_msg, output_of, evaluate
 
 
 def run_sweep(
@@ -394,7 +474,46 @@ def run_sweep(
             engine=engine,
             memoize_transitions=True,
         )
+    return run_batch(
+        _sweep_kernel,
+        "sweep",
+        algorithm,
+        instances,
+        max_rounds=max_rounds,
+        require_halt=require_halt,
+        inputs=inputs,
+        stats=stats,
+    )
 
+
+def run_batch(
+    kernel,
+    engine: str,
+    algorithm: Algorithm | FastPathAlgorithm,
+    instances: Iterable[Instance],
+    *,
+    max_rounds: int,
+    require_halt: bool,
+    inputs: Sequence[dict[Node, Any] | None] | None,
+    stats: SweepStats | None,
+) -> list[ExecutionResult]:
+    """The batch entry point shared by the superposed and the vector kernels.
+
+    Compiles the instances, groups them by shared topology (identity of the
+    numbering-independent compiled graph, kept alive by the instances
+    themselves) and keeps one representative per delivery signature in each
+    group (see :func:`delivery_signature_of`).  ``kernel(fast, tables,
+    interner, compiled, inputs, layout, max_rounds)`` then runs the
+    representatives: ``layout`` holds one ``(executed, duplicates)`` pair of
+    batch indices per topology group, ``interner`` is
+    :func:`bind_interner`'s tuple, and the kernel returns ``(finals,
+    evaluations)`` -- ``finals[index] = (state ids, rounds, halted,
+    walked)`` for every representative, and how many configurations it
+    sent to ``evaluate``.  The results tail materializes them, copies each
+    duplicate's result from its representative and folds the work into
+    ``stats``, published as ``{engine}.*`` counters under the
+    ``engine.{engine}.run`` span.
+    """
     compiled = [compile_instance(item) for item in instances]
     if inputs is None:
         per_inputs: list[dict[Node, Any] | None] = [None] * len(compiled)
@@ -415,60 +534,152 @@ def run_sweep(
     before = stats_values(stats) if stats is not None else None
     states_before = len(tables.state_values)
     messages_before = len(tables.msg_values)
-    results: list[ExecutionResult | None] = [None] * len(compiled)
 
-    # Group by shared topology (identity of the numbering-independent
-    # compiled graph, kept alive by the instances themselves): one initial
-    # configuration and one getter family per group.
     groups: dict[int, list[int]] = {}
     for index, instance in enumerate(compiled):
         groups.setdefault(id(instance.topology), []).append(index)
-    with _span("engine.sweep.run", engine="sweep") as sp:
-        for indices in groups.values():
-            _sweep_group(
-                fast,
-                tables,
-                [compiled[i] for i in indices],
-                indices,
-                max_rounds,
-                [per_inputs[i] for i in indices],
-                results,
-                stats,
+    layout: list[tuple[list[int], list[tuple[int, int]]]] = []
+    for indices in groups.values():
+        signature_of = delivery_signature_of(
+            fast.model, any(per_inputs[i] is not None for i in indices)
+        )
+        executed, duplicates = collapse_instances(
+            [compiled[i] for i in indices], signature_of
+        )
+        layout.append(
+            (
+                [indices[p] for p in executed],
+                [(indices[p], indices[r]) for p, r in duplicates],
             )
+        )
+
+    with _span(f"engine.{engine}.run", engine=engine) as sp:
+        interner = bind_interner(fast, tables)
+        finals, evaluations = kernel(
+            fast, tables, interner, compiled, per_inputs, layout, max_rounds
+        )
+        results = _results_tail(tables, interner, compiled, layout, finals, stats)
         if stats is not None:
             stats.instances += len(compiled)
+            stats.evaluations += evaluations
             stats.distinct_states += len(tables.state_values) - states_before
             stats.distinct_messages += len(tables.msg_values) - messages_before
             if observing:
-                publish_stats("sweep", stats, before, sp)
+                publish_stats(engine, stats, before, sp)
     if require_halt:
         for index, result in enumerate(results):
-            if result is not None and not result.halted:
+            if not result.halted:
                 raise ExecutionError(
                     f"{fast.inner.name} did not halt on {compiled[index].graph!r} "
                     f"within {max_rounds} rounds"
                 )
-    return results  # type: ignore[return-value]
+    return results
+
+
+def _results_tail(
+    tables: SweepTables,
+    interner: tuple,
+    compiled: list[CompiledInstance],
+    layout: list[tuple[list[int], list[tuple[int, int]]]],
+    finals: dict[int, tuple[list[int], int, bool, int]],
+    stats: SweepStats | None,
+) -> list[ExecutionResult]:
+    """Materialize a kernel's final rows as results, in input order.
+
+    Sweeps revisit the same handful of final configurations over and over,
+    so each topology group materializes the result dictionaries once per
+    distinct ``(halted, rounds, state row)``; duplicates copy their
+    representative's result and are charged its walk.
+    """
+    _, _, output_of, _ = interner
+    state_values = tables.state_values
+    state_stops = tables.state_stops
+    results: list[Any] = [None] * len(compiled)
+    rounds_total = occurrences = replicated_occurrences = replicated = 0
+    for executed, duplicates in layout:
+        nodes = compiled[executed[0]].topology.nodes
+        memo: dict[tuple, tuple[dict, dict]] = {}
+        for index in executed:
+            row, rounds, halted, walked = finals[index]
+            rounds_total += rounds
+            occurrences += walked
+            key = (halted, rounds, tuple(row))
+            memoized = memo.get(key)
+            if memoized is None:
+                final_states = dict(zip(nodes, map(state_values.__getitem__, row)))
+                if halted:
+                    outputs = dict(zip(nodes, map(output_of, row)))
+                else:
+                    outputs = {
+                        nodes[i]: output_of(sid)
+                        for i, sid in enumerate(row)
+                        if state_stops[sid]
+                    }
+                memoized = memo[key] = (outputs, final_states)
+            results[index] = ExecutionResult(
+                outputs=memoized[0].copy(),
+                rounds=rounds,
+                halted=halted,
+                trace=None,
+                states=memoized[1].copy(),
+            )
+        for index, representative in duplicates:
+            original = results[representative]
+            replicated_occurrences += finals[representative][3]
+            results[index] = ExecutionResult(
+                outputs=original.outputs.copy(),
+                rounds=original.rounds,
+                halted=original.halted,
+                trace=None,
+                states=original.states.copy(),
+            )
+        replicated += len(duplicates)
+    if stats is not None:
+        stats.executed += len(finals)
+        stats.replicated += replicated
+        stats.rounds += rounds_total
+        stats.occurrences += occurrences
+        stats.replicated_occurrences += replicated_occurrences
+    return results
+
+
+def _sweep_kernel(fast, tables, interner, compiled, per_inputs, layout, max_rounds):
+    """The superposed kernel: each topology group through :func:`_sweep_group`."""
+    finals: dict[int, tuple[list[int], int, bool, int]] = {}
+    evaluations = 0
+    for executed, _ in layout:
+        evaluations += _sweep_group(
+            fast,
+            tables,
+            interner,
+            [compiled[i] for i in executed],
+            executed,
+            max_rounds,
+            [per_inputs[i] for i in executed],
+            finals,
+        )
+    return finals, evaluations
 
 
 def _sweep_group(
     fast: FastPathAlgorithm,
     tables: SweepTables,
+    interner: tuple,
     group: list[CompiledInstance],
     indices: list[int],
     max_rounds: int,
     group_inputs: list[dict[Node, Any] | None],
-    results: list[ExecutionResult | None],
-    stats: SweepStats | None,
-) -> None:
-    """Execute one shared-topology group superposed; fill ``results``.
+    finals: dict[int, tuple[list[int], int, bool, int]],
+) -> int:
+    """Execute one shared-topology group's representatives superposed.
 
     Instances run through the round loop one after another, but entirely in
     the sweep's dense id space: all per-round work is integer table lookups
     unless a configuration (or state, or send row) is genuinely new, in which
     case the algorithm is consulted once and the answer interned for every
     later occurrence -- in this instance, the rest of the sweep, and any
-    later sweep sharing the tables.
+    later sweep sharing the tables.  Records each instance's final row in
+    ``finals`` (see :func:`run_batch`) and returns the evaluation count.
     """
     inner = fast.inner
     topology = group[0].topology
@@ -481,53 +692,15 @@ def _sweep_group(
     receive = inner.model.receive
     vector_mode = receive is ReceiveMode.VECTOR
     set_mode = receive is ReceiveMode.SET
-    project = receive.project
-    transition = inner.transition
     send = inner.send
     broadcast_rule = inner.broadcast
-    cls = type(inner)
-    default_protocol = (
-        cls.is_stopping is Algorithm.is_stopping and cls.output is Algorithm.output
-    )
-    is_stopping = inner.is_stopping
+    intern_state, intern_msg, _, evaluate = interner
 
-    state_ids = tables.state_ids
     state_values = tables.state_values
     state_stops = tables.state_stops
-    state_outputs = tables.state_outputs
-    msg_ids = tables.msg_ids
-    msg_values = tables.msg_values
-    configs = tables.configs
     send_rows = tables.send_rows
-    configs_get = configs.get
+    configs_get = tables.configs.get
     rows_get = send_rows.get
-
-    def intern_state(state: Any) -> int:
-        sid = state_ids.get(state)
-        if sid is None:
-            sid = state_ids[state] = len(state_values)
-            state_values.append(state)
-            if default_protocol:
-                state_stops.append(isinstance(state, Output))
-            else:
-                state_stops.append(is_stopping(state))
-            state_outputs.append(_MISSING)
-        return sid
-
-    def intern_msg(message: Any) -> int:
-        mid = msg_ids.get(message)
-        if mid is None:
-            mid = msg_ids[message] = len(msg_values)
-            msg_values.append(message)
-        return mid
-
-    def output_of(sid: int) -> Any:
-        value = state_outputs[sid]
-        if value is _MISSING:
-            state = state_values[sid]
-            value = state.value if default_protocol else inner.output(state)
-            state_outputs[sid] = value
-        return value
 
     # The shared initial configuration (inputs may specialize it per instance).
     initial_rows = tables.initial_rows
@@ -581,36 +754,8 @@ def _sweep_group(
     else:
         row_of_get = None
 
-    # Sweeps revisit the same handful of final configurations over and over;
-    # materialize the result dictionaries once per distinct one.
-    result_memo: dict[tuple, tuple[dict, dict]] = {}
-
-    occurrences = 0
-    replicated_occurrences = 0
     evaluations = 0
-    total_rounds = 0
-    walk_of: dict[int, int] = {}  # representative position -> node-rounds walked
-
-    def evaluate(cfg: tuple[int, tuple[int, ...]]) -> tuple[int, bool]:
-        """Consult the algorithm for a configuration seen for the first time."""
-        vector = tuple(map(msg_values.__getitem__, cfg[1]))
-        new_state = transition(
-            state_values[cfg[0]], vector if vector_mode else project(vector)
-        )
-        nsid = intern_state(new_state)
-        entry = configs[cfg] = (nsid, state_stops[nsid])
-        return entry
-
-    # Instance-level superposition (see :func:`delivery_signature_of`): only
-    # one representative per delivery signature runs the round loop;
-    # duplicates copy its result.
-    signature_of = delivery_signature_of(
-        inner.model, any(item is not None for item in group_inputs)
-    )
-    executed, duplicates = collapse_instances(group, signature_of)
-
-    for position in executed:
-        instance = group[position]
+    for position, instance in enumerate(group):
         item_inputs = group_inputs[position]
         if item_inputs is None:
             state_row = list(init_row)
@@ -701,47 +846,5 @@ def _sweep_group(
                     base = offsets[i]
                     out[base : base + degrees[i]] = m0_rows[degrees[i]]
             active = still_active
-        total_rounds += rounds
-        occurrences += walked
-        walk_of[position] = walked
-
-        halted = not active
-        memo_key = (halted, rounds, tuple(state_row))
-        memoized = result_memo.get(memo_key)
-        if memoized is None:
-            final_states = dict(zip(nodes, map(state_values.__getitem__, state_row)))
-            if halted:
-                outputs = dict(zip(nodes, map(output_of, state_row)))
-            else:
-                outputs = {
-                    nodes[i]: output_of(sid)
-                    for i, sid in enumerate(state_row)
-                    if state_stops[sid]
-                }
-            memoized = result_memo[memo_key] = (outputs, final_states)
-        results[indices[position]] = ExecutionResult(
-            outputs=memoized[0].copy(),
-            rounds=rounds,
-            halted=halted,
-            trace=None,
-            states=memoized[1].copy(),
-        )
-
-    for position, representative in duplicates:
-        original = results[indices[representative]]
-        replicated_occurrences += walk_of[representative]
-        results[indices[position]] = ExecutionResult(
-            outputs=original.outputs.copy(),
-            rounds=original.rounds,
-            halted=original.halted,
-            trace=None,
-            states=dict(original.states) if original.states is not None else None,
-        )
-
-    if stats is not None:
-        stats.executed += len(executed)
-        stats.replicated += len(duplicates)
-        stats.rounds += total_rounds
-        stats.occurrences += occurrences
-        stats.replicated_occurrences += replicated_occurrences
-        stats.evaluations += evaluations
+        finals[indices[position]] = (state_row, rounds, not active, walked)
+    return evaluations

@@ -10,36 +10,39 @@ thousands of Python dict operations per round for a handful of *distinct*
 configurations.
 
 This module runs the same id-space superposition as array code over int64
-lanes, one batched pass per round over **all** live instances of a topology
-group at once:
+lanes.  Every delivery-signature representative of a batch, across all of
+the batch's topologies, lies end to end on one flat node axis and one flat
+port axis: its topology's port owners and port numbers, and its instance's
+delivery map, are offset by the nodes and ports laid before it.  One round
+is then one batched pass over every live node of every instance:
 
-* the send phase is one fancy-index table lookup
-  ``OUT = SEND[state[:, port_owner], port_q]`` -- the lazily-filled
-  ``SEND[sid, q]`` table plays the role of the sweep engine's rebuild rows
-  (stopped states carry ``m0`` rows, so halted nodes park ``m0``
-  implicitly);
-* the gather phase is one ``np.take_along_axis`` over the per-instance
-  source maps (the compiled delivery maps of
-  :class:`~repro.execution.engine.CompiledInstance`, stacked into one
-  ``(instances, ports)`` matrix);
-* receive-mode canonicalization is array-wide: inboxes land in a padded
-  ``(instances, nodes, max_degree)`` block (sentinel-padded), Multiset sorts
-  along the port axis, Set sorts, masks duplicates to the sentinel and
-  re-sorts;
-* the transition phase runs ``np.unique`` over the active configuration
-  rows and consults the Python-side configuration table **once per distinct
-  row in the batch** -- the algorithm's own ``transition`` runs only for
-  rows never seen before, exactly as in the sweep engine.
+* send: one fancy-index table lookup ``OUT = SEND[state[owner], q]``
+  (``BCAST[state]`` under broadcast) -- the lazily-filled ``SEND[sid, q]``
+  table plays the role of the sweep engine's rebuild rows (stopped states
+  carry ``m0`` rows, so halted nodes park ``m0`` implicitly);
+* gather: ``OUT[src]`` over the concatenated delivery maps of
+  :class:`~repro.execution.engine.CompiledInstance`;
+* scatter into one ``(nodes, max_degree)`` inbox at ``[owner, q]``
+  (sentinel-padded) and canonicalize per receive mode: Multiset sorts along
+  the port axis, Set sorts, masks duplicates to the sentinel and re-sorts;
+* transition: the alive rows are deduplicated through packed scalar keys,
+  and each *distinct* row is looked up in the sweep engine's configuration
+  table under the sweep's own key -- the algorithm's ``transition`` runs
+  only for configurations the wrapper has never seen, whichever engine,
+  topology or degree met them first;
+* walks and halting per instance are ``np.add.reduceat`` /
+  ``np.logical_and.reduceat`` over its node segment; halted instances
+  record their final rows and leave the flat arrays.
 
-States and messages are interned into the *same* :class:`SweepTables` the
-sweep engine uses (shared via the
-:class:`~repro.machines.fastpath.FastPathAlgorithm` wrapper), so results are
-node-for-node identical and warm tables amortize across both engines; the
-NumPy-side mirrors (stop flags, send tables, per-width configuration caches)
-live in :class:`VectorTables` on the wrapper's ``vector_tables`` slot.
-
-Instance-level collapse (delivery signatures) is shared with the sweep
-engine through :func:`repro.execution.sweep.delivery_signature_of`.
+States, messages and configurations are interned into the *same*
+:class:`~repro.execution.sweep.SweepTables` the sweep engine uses, through
+its closures (:func:`repro.execution.sweep.bind_interner`), and the batch
+entry point and results tail are the sweep's
+(:func:`repro.execution.sweep.run_batch`), so results are node-for-node
+identical, warm tables carry over between both engines and their
+:class:`SweepStats` agree.  The NumPy-side mirrors (stop
+flags, send tables) live in :class:`VectorTables` on the wrapper's
+``vector_tables`` slot.
 
 NumPy is an optional dependency: the module imports without it, and
 :func:`run_vector` raises
@@ -50,35 +53,18 @@ NumPy is an optional dependency: the module imports without it, and
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from typing import Any
 
 from repro.graphs.graph import Node
-from repro.machines.algorithm import Algorithm, Output
-from repro.machines.fastpath import FastPathAlgorithm, fast_path
+from repro.machines.algorithm import Algorithm
+from repro.machines.fastpath import FastPathAlgorithm
 from repro.machines.models import ReceiveMode, SendMode
-from repro.execution.engine import (
-    DEFAULT_MAX_ROUNDS,
-    CompiledInstance,
-    ExecutionError,
-    ExecutionResult,
-    Instance,
-    compile_instance,
-)
-from repro.execution.sweep import (
-    SweepStats,
-    SweepTables,
-    collapse_instances,
-    delivery_signature_of,
-    publish_stats,
-    stats_values,
-    sweep_tables_for,
-)
+from repro.execution.engine import DEFAULT_MAX_ROUNDS, ExecutionResult, Instance
+from repro.execution.sweep import SweepStats, run_batch
 from repro.obs import metrics as _metrics
-from repro.obs.trace import span as _span, tracing_enabled as _tracing
 
 __all__ = ["VectorTables", "run_vector", "vector_tables_for"]
-
-_MISSING = object()
 
 #: Inbox padding value: sorts after every real message id and is never one.
 _SENTINEL = 1 << 62
@@ -88,35 +74,25 @@ _PACK_LIMIT = 1 << 62
 
 
 class VectorTables:
-    """NumPy-side mirrors of the shared :class:`SweepTables` id space.
+    """NumPy-side mirrors of the shared sweep id space.
 
     The authoritative interning (state/message values and ids, stop flags,
-    outputs) stays in the sweep tables; this class keeps the flat array
-    views the kernel indexes per round:
+    outputs, the configuration table) stays in
+    :class:`~repro.execution.sweep.SweepTables`; this class keeps the flat
+    array views the kernel indexes per round:
 
     * ``stops`` -- per-sid stop flags as a bool array (grown in sync with
       the interned states);
     * ``send_table`` -- ``send_table[sid, q]`` is the interned id of
       ``mu(state, q + 1)``, filled lazily up to the largest degree the sid
-      has actually been observed at (``send_fill``), so a send rule that
-      indexes per-port state data is never consulted beyond its own shape;
-      stopped sids carry ``m0`` rows;
+      has actually been observed at (``send_fill_np[sid]``), so a send rule
+      that indexes per-port state data is never consulted beyond its own
+      shape; stopped sids carry ``m0`` rows;
     * ``bcast_table`` -- the broadcast analogue (one id per sid, ``-1``
-      means unfilled);
-    * ``configs`` -- per-row-width ``bytes -> (new_sid, stopped)`` tables:
-      the vector twin of ``SweepTables.configs``, keyed by the raw bytes of
-      a canonicalized ``(state_id, padded inbox)`` row.
+      means unfilled).
     """
 
-    __slots__ = (
-        "stops",
-        "stop_count",
-        "send_table",
-        "send_fill",
-        "send_fill_np",
-        "bcast_table",
-        "configs",
-    )
+    __slots__ = ("stops", "stop_count", "send_table", "send_fill_np", "bcast_table")
 
     def __init__(self) -> None:
         self.clear()
@@ -125,15 +101,8 @@ class VectorTables:
         self.stops: Any = None
         self.stop_count: int = 0
         self.send_table: Any = None
-        self.send_fill: dict[int, int] = {}
         self.send_fill_np: Any = None
         self.bcast_table: Any = None
-        self.configs: dict[int, dict[bytes, tuple[int, bool]]] = {}
-
-    @property
-    def config_count(self) -> int:
-        """Distinct configurations interned across every row width."""
-        return sum(map(len, self.configs.values()))
 
     def sync_stops(self, np: Any, state_stops: list[bool]) -> Any:
         """Grow the stop-flag array to cover every interned sid."""
@@ -198,7 +167,6 @@ def run_vector(
     inputs: Sequence[dict[Node, Any] | None] | None = None,
     workers: int | None = None,
     stats: SweepStats | None = None,
-    arena: bool | None = None,
 ) -> list[ExecutionResult]:
     """Run one algorithm over a sweep of instances through the NumPy kernel.
 
@@ -207,228 +175,144 @@ def run_vector(
     and reference engines (the differential suite in
     ``tests/test_vector_engine.py`` checks all seven model classes), the
     same post-sweep ``require_halt`` behaviour and the same
-    :class:`SweepStats` accounting.  ``workers`` is accepted for signature
-    parity and ignored: the kernel is batch-level array code and always
-    runs in-process.
-
-    ``arena`` selects the whole-batch mega-arena: every topology group --
-    across graph families and sizes -- is padded into one multi-topology
-    block and driven through a single round loop, so a mixed campaign shard
-    costs one kernel invocation instead of one per topology.  ``None`` (the
-    default) auto-enables the arena exactly when the batch spans more than
-    one topology; ``False`` forces the per-topology loop.  Results are
-    node-for-node identical either way (padded lanes are masked out of the
-    round loop and never reach the configuration table).
+    :class:`SweepStats` accounting -- both engines run through one batch
+    entry point and share the wrapper's configuration table, so a batch costs
+    the same transition evaluations on either.  Every instance of the batch,
+    whatever its topology, runs in one flat kernel invocation.  ``workers``
+    is accepted for signature parity and ignored: the kernel is batch-level
+    array code and always runs in-process.
 
     Raises :class:`~repro.engines.registry.EngineUnavailableError` when
     NumPy is not installed.
     """
-    from repro.engines.registry import numpy_or_none, resolve_engine
+    from repro.engines.registry import resolve_engine
 
     resolve_engine("vector", requires={"sweep"}, operation="run_vector")
-    np = numpy_or_none()
-
-    compiled = [compile_instance(item) for item in instances]
-    if inputs is None:
-        per_inputs: list[dict[Node, Any] | None] = [None] * len(compiled)
-    else:
-        per_inputs = list(inputs)
-        if len(per_inputs) != len(compiled):
-            raise ValueError(
-                f"inputs has {len(per_inputs)} entries for {len(compiled)} instances"
-            )
-
-    fast = fast_path(algorithm)
-    tables = sweep_tables_for(fast)
-    vtables = vector_tables_for(fast)
-    observing = _metrics.enabled() or _tracing()
-    if observing:
+    if _metrics.enabled():
         _metrics.gauge("engines.numpy_available").set(1)
-        if stats is None:
-            stats = SweepStats()
-    before = stats_values(stats) if stats is not None else None
-    states_before = len(tables.state_values)
-    messages_before = len(tables.msg_values)
-    results: list[ExecutionResult | None] = [None] * len(compiled)
-
-    groups: dict[int, list[int]] = {}
-    for index, instance in enumerate(compiled):
-        groups.setdefault(id(instance.topology), []).append(index)
-    use_arena = (len(groups) > 1) if arena is None else (arena and bool(compiled))
-    with _span("engine.vector.run", engine="vector") as sp:
-        if use_arena:
-            _vector_arena(
-                np,
-                fast,
-                tables,
-                vtables,
-                compiled,
-                max_rounds,
-                per_inputs,
-                results,
-                stats,
-            )
-        else:
-            for indices in groups.values():
-                _vector_group(
-                    np,
-                    fast,
-                    tables,
-                    vtables,
-                    [compiled[i] for i in indices],
-                    indices,
-                    max_rounds,
-                    [per_inputs[i] for i in indices],
-                    results,
-                    stats,
-                )
-        if stats is not None:
-            stats.instances += len(compiled)
-            stats.distinct_states += len(tables.state_values) - states_before
-            stats.distinct_messages += len(tables.msg_values) - messages_before
-            if observing:
-                publish_stats("vector", stats, before, sp)
-    if require_halt:
-        for index, result in enumerate(results):
-            if result is not None and not result.halted:
-                raise ExecutionError(
-                    f"{fast.inner.name} did not halt on {compiled[index].graph!r} "
-                    f"within {max_rounds} rounds"
-                )
-    return results  # type: ignore[return-value]
+    return run_batch(
+        _vector_kernel,
+        "vector",
+        algorithm,
+        instances,
+        max_rounds=max_rounds,
+        require_halt=require_halt,
+        inputs=inputs,
+        stats=stats,
+    )
 
 
-def _vector_group(
-    np: Any,
-    fast: FastPathAlgorithm,
-    tables: SweepTables,
-    vtables: VectorTables,
-    group: list[CompiledInstance],
-    indices: list[int],
-    max_rounds: int,
-    group_inputs: list[dict[Node, Any] | None],
-    results: list[ExecutionResult | None],
-    stats: SweepStats | None,
-) -> None:
-    """Execute one shared-topology group as batched array rounds."""
+def _vector_kernel(fast, tables, interner, compiled, per_inputs, layout, max_rounds):
+    """Run a batch's representatives as one flat array program.
+
+    The kernel of :func:`~repro.execution.sweep.run_batch` (same arguments,
+    same ``(finals, evaluations)`` result); see the module docstring for the
+    layout and the round step.
+    """
+    from repro.engines.registry import numpy_or_none
+
+    np = numpy_or_none()
+    vtables = vector_tables_for(fast)
+    intern_state, intern_msg, _, evaluate = interner
     inner = fast.inner
-    topology = group[0].topology
-    nodes = topology.nodes
-    n = len(nodes)
-    degrees = topology.degrees
-    num_ports = topology.num_ports
-    maxd = max(degrees, default=0)
-    width = 1 + maxd
     broadcast = inner.model.send is SendMode.BROADCAST
     receive = inner.model.receive
     vector_mode = receive is ReceiveMode.VECTOR
     set_mode = receive is ReceiveMode.SET
-    project = receive.project
-    transition = inner.transition
     send = inner.send
     broadcast_rule = inner.broadcast
-    cls = type(inner)
-    default_protocol = (
-        cls.is_stopping is Algorithm.is_stopping and cls.output is Algorithm.output
-    )
-    is_stopping = inner.is_stopping
-
-    state_ids = tables.state_ids
     state_values = tables.state_values
     state_stops = tables.state_stops
-    state_outputs = tables.state_outputs
-    msg_ids = tables.msg_ids
     msg_values = tables.msg_values
-
-    def intern_state(state: Any) -> int:
-        sid = state_ids.get(state)
-        if sid is None:
-            sid = state_ids[state] = len(state_values)
-            state_values.append(state)
-            if default_protocol:
-                state_stops.append(isinstance(state, Output))
-            else:
-                state_stops.append(is_stopping(state))
-            state_outputs.append(_MISSING)
-        return sid
-
-    def intern_msg(message: Any) -> int:
-        mid = msg_ids.get(message)
-        if mid is None:
-            mid = msg_ids[message] = len(msg_values)
-            msg_values.append(message)
-        return mid
-
-    def output_of(sid: int) -> Any:
-        value = state_outputs[sid]
-        if value is _MISSING:
-            state = state_values[sid]
-            value = state.value if default_protocol else inner.output(state)
-            state_outputs[sid] = value
-        return value
-
-    signature_of = delivery_signature_of(
-        inner.model, any(item is not None for item in group_inputs)
-    )
-    executed, duplicates = collapse_instances(group, signature_of)
-    reps = len(executed)
-
-    # The shared initial configuration (inputs may specialize it per row).
+    configs_get = tables.configs.get
     initial_rows = tables.initial_rows
-    init_row = [0] * n
-    for i in range(n):
-        sid = initial_rows.get(degrees[i])
-        if sid is None:
-            sid = initial_rows[degrees[i]] = intern_state(inner.initial_state(degrees[i]))
-        init_row[i] = sid
+    int64 = np.int64
 
-    state = np.empty((reps, n), dtype=np.int64)
-    for row, position in enumerate(executed):
-        item_inputs = group_inputs[position]
-        if item_inputs is None:
-            state[row] = init_row
-        else:
-            state[row] = [
-                intern_state(
-                    inner.initial_state_with_input(degrees[i], item_inputs.get(nodes[i]))
-                )
-                for i in range(n)
-            ]
+    # Lay out every representative with a live node end to end.  The others
+    # halt at round 0 and never enter the segments (``reduceat`` cannot take
+    # an empty one, and a zero-node graph would be one).
+    finals: dict[int, tuple[list[int], int, bool, int]] = {}
+    reps: list[int] = []
+    states: list[int] = []
+    owners, qs, srcs, degs = [], [], [], []
+    sizes: list[int] = []
+    port_sizes: list[int] = []
+    node_base = port_base = 0
+    for executed, _ in layout:
+        topology = compiled[executed[0]].topology
+        nodes, degrees = topology.nodes, topology.degrees
+        n, ports = len(nodes), topology.num_ports
+        init_row = []
+        for degree in degrees:
+            sid = initial_rows.get(degree)
+            if sid is None:
+                sid = initial_rows[degree] = intern_state(inner.initial_state(degree))
+            init_row.append(sid)
+        live = []
+        for index in executed:
+            item_inputs = per_inputs[index]
+            row = init_row
+            if item_inputs is not None:
+                row = [
+                    intern_state(
+                        inner.initial_state_with_input(degrees[i], item_inputs.get(nodes[i]))
+                    )
+                    for i in range(n)
+                ]
+            if all(map(state_stops.__getitem__, row)):
+                finals[index] = (list(row), 0, True, 0)
+            else:
+                live.append(index)
+                states.extend(row)
+        if not live:
+            continue
+        count = len(live)
+        deg = np.asarray(degrees, dtype=int64)
+        port_owner = np.repeat(np.arange(n, dtype=int64), deg)
+        port_q = np.arange(ports, dtype=int64) - np.repeat(
+            np.asarray(topology.offsets[:n], dtype=int64), deg
+        )
+        shift = np.arange(count, dtype=int64)
+        owners.append((node_base + n * shift)[:, None] + port_owner)
+        qs.append(np.tile(port_q, count))
+        degs.append(np.tile(deg, count))
+        maps = (compiled[i].source_nodes if broadcast else compiled[i].sources for i in live)
+        source = np.fromiter(
+            chain.from_iterable(chain.from_iterable(maps)), dtype=int64, count=count * ports
+        )
+        step, base = (n, node_base) if broadcast else (ports, port_base)
+        srcs.append(source + np.repeat(base + step * shift, ports))
+        reps += live
+        sizes += [n] * count
+        port_sizes += [ports] * count
+        node_base += n * count
+        port_base += ports * count
+    if not reps:
+        return finals, 0
 
-    # Stacked delivery maps: one (reps, ports) gather matrix for the group.
-    if broadcast:
-        src = np.empty((reps, num_ports), dtype=np.int64)
-        for row, position in enumerate(executed):
-            src[row] = [s for senders in group[position].source_nodes for s in senders]
-    else:
-        src = np.empty((reps, num_ports), dtype=np.int64)
-        for row, position in enumerate(executed):
-            src[row] = [s for slots in group[position].sources for s in slots]
-    deg_np = np.asarray(degrees, dtype=np.int64)
-    port_owner = np.repeat(np.arange(n, dtype=np.int64), deg_np)
-    port_q = (
-        np.concatenate([np.arange(d, dtype=np.int64) for d in degrees])
-        if num_ports
-        else np.empty(0, dtype=np.int64)
-    )
+    st = np.asarray(states, dtype=int64)
+    owner = np.concatenate([block.reshape(-1) for block in owners])
+    q = np.concatenate(qs)
+    src = np.concatenate(srcs)
+    deg = np.concatenate(degs)
+    sizes = np.asarray(sizes, dtype=int64)
+    port_sizes = np.asarray(port_sizes, dtype=int64)
+    starts = np.cumsum(sizes) - sizes
+    walk = np.zeros(len(reps), dtype=int64)
+    maxd = int(deg.max())
 
-    config_table = vtables.configs.setdefault(width, {})
-
-    def fill_send_rows(st: Any) -> None:
-        """Fill the lazy send tables for every (sid, shape) pair in ``st``.
+    def fill_send_rows() -> None:
+        """Fill the lazy send tables for every (sid, degree) pair in ``st``.
 
         Warm rounds reduce to one vectorized "anything unfilled?" check: the
-        per-pair discovery (a full np.unique over the state matrix) only
-        runs when some sid actually needs a wider row than it has.
+        per-pair discovery only runs when some sid needs a wider row than it
+        has.
         """
         if broadcast:
             table = vtables.ensure_bcast(np, len(state_values))
             missing = table[st] < 0
-            if not missing.any():
-                return
-            for sid in np.unique(st[missing]):
-                sid = int(sid)
-                if table[sid] < 0:
+            if missing.any():
+                for sid in np.unique(st[missing]).tolist():
                     table[sid] = (
                         0 if state_stops[sid] else intern_msg(broadcast_rule(state_values[sid]))
                     )
@@ -436,15 +320,13 @@ def _vector_group(
         if maxd == 0:
             return
         table = vtables.ensure_send(np, len(state_values), maxd)
-        fill_np = vtables.send_fill_np
-        deg_mat = np.broadcast_to(deg_np, st.shape)
-        need = fill_np[st] < deg_mat
+        fill = vtables.send_fill_np
+        need = fill[st] < deg
         if not need.any():
             return
-        send_fill = vtables.send_fill
-        for key in np.unique(st[need] * (maxd + 1) + deg_mat[need]):
-            sid, degree = divmod(int(key), maxd + 1)
-            filled = send_fill.get(sid, 0)
+        for key in np.unique(st[need] * (maxd + 1) + deg[need]).tolist():
+            sid, degree = divmod(key, maxd + 1)
+            filled = int(fill[sid])
             if filled >= degree:
                 continue
             if state_stops[sid]:
@@ -454,26 +336,23 @@ def _vector_group(
                 table[sid, filled:degree] = [
                     intern_msg(send(value, q + 1)) for q in range(filled, degree)
                 ]
-            send_fill[sid] = degree
-            fill_np[sid] = degree
+            fill[sid] = degree
 
-    def evaluate(row: Any) -> tuple[int, bool]:
-        """Consult the algorithm for a configuration row never seen before."""
-        sid = int(row[0])
-        inbox = row[1:]
-        real = inbox[inbox != _SENTINEL]
-        vector = tuple(msg_values[int(mid)] for mid in real)
-        new_state = transition(
-            state_values[sid], vector if vector_mode else project(vector)
-        )
-        nsid = intern_state(new_state)
-        return (nsid, state_stops[nsid])
+    def record(selected, halted: bool) -> None:
+        """Record the final rows of the ``selected`` segments in ``finals``."""
+        flat = st.tolist()
+        bounds = starts.tolist()
+        lengths = sizes.tolist()
+        walked = walk.tolist()
+        for r in selected:
+            finals[reps[r]] = (
+                flat[bounds[r] : bounds[r] + lengths[r]],
+                current_round,
+                halted,
+                walked[r],
+            )
 
-    rounds = np.zeros(reps, dtype=np.int64)
-    halted = np.zeros(reps, dtype=bool)
-    walk = np.zeros(reps, dtype=np.int64)
     evaluations = 0
-    occurrences = 0
     fastpath_rounds = 0
     sortpath_rounds = 0
 
@@ -481,179 +360,109 @@ def _vector_group(
     # with their new sids, applied by one np.searchsorted per round.  Valid
     # only while the packing base is stable (growing message tables change
     # the encoding), so rounds that intern anything fall back to the full
-    # unique-and-evaluate pass and rebuild the map.
+    # unique-and-look-up pass and rebuild the map.
     pack_base = -1
     pack_keys: Any = None
     pack_sids: Any = None
 
     stops_np = vtables.sync_stops(np, state_stops)
-    if n == 0:
-        halted[:] = True
-        live = np.empty(0, dtype=np.int64)
-    else:
-        done = stops_np[state].all(axis=1)
-        halted[done] = True
-        live = np.nonzero(~done)[0]
-
     current_round = 0
-    while live.size and current_round < max_rounds:
+    while reps and current_round < max_rounds:
         current_round += 1
-        st = state[live]  # (L, n) copy, written back after the transition
         alive = ~stops_np[st]  # pre-transition active-node mask
 
-        # Send phase: rebuild the whole output buffer from the state rows
-        # (stopped sids carry m0 entries, so halted nodes park m0).
-        fill_send_rows(st)
-        if broadcast:
-            out = vtables.bcast_table[st]  # (L, n)
+        # Send, gather, scatter: stopped sids carry m0 entries, so halted
+        # nodes park m0; inbox slots beyond a node's degree keep the sentinel.
+        fill_send_rows()
+        inbox = np.full((len(st), maxd), _SENTINEL, dtype=int64)
+        if maxd:
+            out = vtables.bcast_table[st] if broadcast else vtables.send_table[st[owner], q]
+            inbox[owner, q] = out[src]
+            if not vector_mode and maxd > 1:
+                inbox.sort(axis=1)
+                if set_mode:
+                    dup = inbox[:, 1:] == inbox[:, :-1]
+                    if dup.any():
+                        inbox[:, 1:][dup] = _SENTINEL
+                        inbox.sort(axis=1)
+
+        # Transition: deduplicate the alive rows (through scalar base-packed
+        # keys when the id spaces fit in int64 -- a 1-D sort, ~20x cheaper
+        # than np.unique's row-wise argsort), then one configuration-table
+        # lookup per distinct row under the sweep's key and one transition
+        # call per configuration the wrapper has never seen.
+        rows = np.concatenate((st[alive][:, None], inbox[alive]), axis=1)
+        base = len(msg_values) + 1
+        packable = (len(state_values) + 1) * base**maxd < _PACK_LIMIT
+        successors = None
+        if packable:
+            packed = rows[:, 0].copy()
+            for col in range(1, maxd + 1):
+                slot = rows[:, col]
+                packed *= base
+                packed += np.where(slot == _SENTINEL, base - 1, slot)
+            if base == pack_base:
+                pos = np.searchsorted(pack_keys, packed)
+                np.minimum(pos, len(pack_keys) - 1, out=pos)
+                if (pack_keys[pos] == packed).all():
+                    successors = pack_sids[pos]
+        if successors is not None:
+            fastpath_rounds += 1
         else:
-            out = (
-                vtables.send_table[st[:, port_owner], port_q]
-                if num_ports
-                else np.empty((len(live), 0), dtype=np.int64)
-            )
-
-        # Gather + canonicalize: pad into (L, n, maxd), then sort per mode.
-        recv = np.take_along_axis(out, src[live], axis=1)
-        inbox = np.full((len(live), n, maxd), _SENTINEL, dtype=np.int64)
-        if num_ports:
-            inbox[:, port_owner, port_q] = recv
-        if not vector_mode and maxd > 1:
-            inbox.sort(axis=2)
-            if set_mode:
-                dup = inbox[:, :, 1:] == inbox[:, :, :-1]
-                if dup.any():
-                    inbox[:, :, 1:][dup] = _SENTINEL
-                    inbox.sort(axis=2)
-
-        # Transition phase: one np.unique over the active configuration
-        # rows, one dict lookup per *distinct* row, one transition call per
-        # row the whole id space has never seen.  The rows are deduplicated
-        # through scalar base-packed keys when the id spaces fit in int64
-        # (a 1-D sort, ~20x cheaper than np.unique's row-wise argsort); the
-        # packing base depends on the current table sizes, so the keys are
-        # round-local -- the persistent config table stays keyed by the
-        # canonical row bytes.
-        cfg = np.concatenate([st[:, :, None], inbox], axis=2)
-        rows = cfg[alive]
-        if rows.size:
-            base = len(msg_values) + 1
-            packable = (len(state_values) + 1) * base ** maxd < _PACK_LIMIT
-            packed = None
-            handled = False
+            sortpath_rounds += 1
             if packable:
-                packed = rows[:, 0].copy()
-                for col in range(1, maxd + 1):
-                    slot = rows[:, col]
-                    packed *= base
-                    packed += np.where(slot == _SENTINEL, base - 1, slot)
-                if base == pack_base and pack_keys is not None and pack_keys.size:
-                    pos = np.searchsorted(pack_keys, packed)
-                    np.minimum(pos, len(pack_keys) - 1, out=pos)
-                    if (pack_keys[pos] == packed).all():
-                        st[alive] = pack_sids[pos]
-                        handled = True
-            if not handled:
-                if packable:
-                    uniq_keys, first, inverse = np.unique(
-                        packed, return_index=True, return_inverse=True
-                    )
-                    uniq = rows[first]
-                else:
-                    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-                inverse = inverse.reshape(-1)
-                new_sids = np.empty(len(uniq), dtype=np.int64)
-                table_get = config_table.get
-                for u in range(len(uniq)):
-                    row = uniq[u]
-                    key = row.tobytes()
-                    entry = table_get(key)
-                    if entry is None:
-                        evaluations += 1
-                        entry = config_table[key] = evaluate(row)
-                    new_sids[u] = entry[0]
-                st[alive] = new_sids[inverse]
-                if packable:
-                    if base == pack_base and pack_keys is not None and pack_keys.size:
-                        merged = np.union1d(pack_keys, uniq_keys)
-                        merged_sids = np.empty(len(merged), dtype=np.int64)
-                        merged_sids[np.searchsorted(merged, pack_keys)] = pack_sids
-                        merged_sids[np.searchsorted(merged, uniq_keys)] = new_sids
-                        pack_keys, pack_sids = merged, merged_sids
-                    else:
-                        pack_base = base
-                        pack_keys, pack_sids = uniq_keys, new_sids
-                else:
-                    pack_base = -1
-                    pack_keys = pack_sids = None
-            if handled:
-                fastpath_rounds += 1
+                uniq_keys, first, inverse = np.unique(
+                    packed, return_index=True, return_inverse=True
+                )
+                uniq = rows[first]
             else:
-                sortpath_rounds += 1
-            state[live] = st
+                uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+            new_sids = np.empty(len(uniq), dtype=int64)
+            for u, (sid, *inbox_ids) in enumerate(uniq.tolist()):
+                cfg = (sid, tuple(mid for mid in inbox_ids if mid != _SENTINEL))
+                entry = configs_get(cfg)
+                if entry is None:
+                    evaluations += 1
+                    entry = evaluate(cfg)
+                new_sids[u] = entry[0]
+            successors = new_sids[inverse.reshape(-1)]
+            if not packable:
+                pack_base = -1
+            elif base == pack_base:
+                merged = np.union1d(pack_keys, uniq_keys)
+                merged_sids = np.empty(len(merged), dtype=int64)
+                merged_sids[np.searchsorted(merged, pack_keys)] = pack_sids
+                merged_sids[np.searchsorted(merged, uniq_keys)] = new_sids
+                pack_keys, pack_sids = merged, merged_sids
+            else:
+                pack_base = base
+                pack_keys, pack_sids = uniq_keys, new_sids
+        st[alive] = successors
 
-        occurrences += int(alive.sum())
-        walk[live] += alive.sum(axis=1)
-
+        walk += np.add.reduceat(alive, starts, dtype=int64)
         stops_np = vtables.sync_stops(np, state_stops)
-        done = stops_np[state[live]].all(axis=1)
+        done = np.logical_and.reduceat(stops_np[st], starts)
         if done.any():
-            finished = live[done]
-            rounds[finished] = current_round
-            halted[finished] = True
-            live = live[~done]
+            # Record the halted instances, then compact the flat arrays:
+            # surviving nodes and ports are renumbered by cumulative sums.
+            record(np.flatnonzero(done).tolist(), True)
+            keep = ~done
+            node_keep = np.repeat(keep, sizes)
+            port_keep = np.repeat(keep, port_sizes)
+            node_map = np.cumsum(node_keep) - 1
+            src_map = node_map if broadcast else np.cumsum(port_keep) - 1
+            src = src_map[src[port_keep]]
+            owner = node_map[owner[port_keep]]
+            q = q[port_keep]
+            st = st[node_keep]
+            deg = deg[node_keep]
+            reps = [reps[r] for r in np.flatnonzero(keep).tolist()]
+            sizes = sizes[keep]
+            port_sizes = port_sizes[keep]
+            walk = walk[keep]
+            starts = np.cumsum(sizes) - sizes
 
-    if live.size:
-        rounds[live] = current_round  # round budget exhausted, not halted
-
-    # Materialize results (memoized over repeated final configurations).
-    result_memo: dict[tuple, tuple[dict, dict]] = {}
-    for row, position in enumerate(executed):
-        state_row = state[row]
-        instance_halted = bool(halted[row])
-        instance_rounds = int(rounds[row])
-        memo_key = (instance_halted, instance_rounds, state_row.tobytes())
-        memoized = result_memo.get(memo_key)
-        if memoized is None:
-            sids = [int(sid) for sid in state_row]
-            final_states = dict(zip(nodes, map(state_values.__getitem__, sids)))
-            if instance_halted:
-                outputs = dict(zip(nodes, map(output_of, sids)))
-            else:
-                outputs = {
-                    nodes[i]: output_of(sid)
-                    for i, sid in enumerate(sids)
-                    if state_stops[sid]
-                }
-            memoized = result_memo[memo_key] = (outputs, final_states)
-        results[indices[position]] = ExecutionResult(
-            outputs=memoized[0].copy(),
-            rounds=instance_rounds,
-            halted=instance_halted,
-            trace=None,
-            states=memoized[1].copy(),
-        )
-
-    replicated_occurrences = 0
-    position_of = {position: row for row, position in enumerate(executed)}
-    for position, representative in duplicates:
-        original = results[indices[representative]]
-        replicated_occurrences += int(walk[position_of[representative]])
-        results[indices[position]] = ExecutionResult(
-            outputs=original.outputs.copy(),
-            rounds=original.rounds,
-            halted=original.halted,
-            trace=None,
-            states=dict(original.states) if original.states is not None else None,
-        )
-
-    if stats is not None:
-        stats.executed += reps
-        stats.replicated += len(duplicates)
-        stats.rounds += int(rounds.sum())
-        stats.occurrences += occurrences
-        stats.replicated_occurrences += replicated_occurrences
-        stats.evaluations += evaluations
+    record(range(len(reps)), False)  # round budget exhausted, not halted
     if _metrics.enabled():
         # Row-dedup path split: rounds fully served by the sorted pack-key
         # probe vs. rounds that needed the np.unique sort pass.
@@ -661,401 +470,4 @@ def _vector_group(
             _metrics.counter("vector.rounds_fastpath").inc(fastpath_rounds)
         if sortpath_rounds:
             _metrics.counter("vector.rounds_sortpath").inc(sortpath_rounds)
-
-
-def _vector_arena(
-    np: Any,
-    fast: FastPathAlgorithm,
-    tables: SweepTables,
-    vtables: VectorTables,
-    compiled: list[CompiledInstance],
-    max_rounds: int,
-    per_inputs: list[dict[Node, Any] | None],
-    results: list[ExecutionResult | None],
-    stats: SweepStats | None,
-) -> None:
-    """Execute a whole mixed-topology batch as one padded arena.
-
-    The generalization of :func:`_vector_group` to many topologies at once:
-    every topology group is collapsed (delivery signatures) exactly as the
-    per-topology path does, then its representatives become rows of one
-    ``(rows, max_nodes)`` state block padded to the batch-wide node, degree
-    and port maxima.  The delivery maps (``port_owner``/``port_q``/sources)
-    become per-row matrices instead of shared vectors, and two masks keep
-    the padding inert: ``node_valid`` (padded lanes never count as alive,
-    never enter the configuration table and never gate halting) and
-    ``port_valid`` (padded ports never scatter into an inbox).  One round
-    loop then drives every instance of every family and size in lockstep --
-    a campaign shard costs a single kernel invocation.
-
-    Per-instance results are identical to the per-topology path: each row
-    evolves independently of its neighbours, so its halting round, final
-    states and outputs depend only on its own (masked) lanes.  The only
-    visible difference is accounting -- configuration rows are keyed at the
-    batch-wide width, so dedup counters land in a different
-    ``VectorTables.configs`` bucket than the per-topology path would use.
-    """
-    inner = fast.inner
-    broadcast = inner.model.send is SendMode.BROADCAST
-    receive = inner.model.receive
-    vector_mode = receive is ReceiveMode.VECTOR
-    set_mode = receive is ReceiveMode.SET
-    project = receive.project
-    transition = inner.transition
-    send = inner.send
-    broadcast_rule = inner.broadcast
-    cls = type(inner)
-    default_protocol = (
-        cls.is_stopping is Algorithm.is_stopping and cls.output is Algorithm.output
-    )
-    is_stopping = inner.is_stopping
-
-    state_ids = tables.state_ids
-    state_values = tables.state_values
-    state_stops = tables.state_stops
-    state_outputs = tables.state_outputs
-    msg_ids = tables.msg_ids
-    msg_values = tables.msg_values
-
-    def intern_state(state: Any) -> int:
-        sid = state_ids.get(state)
-        if sid is None:
-            sid = state_ids[state] = len(state_values)
-            state_values.append(state)
-            if default_protocol:
-                state_stops.append(isinstance(state, Output))
-            else:
-                state_stops.append(is_stopping(state))
-            state_outputs.append(_MISSING)
-        return sid
-
-    def intern_msg(message: Any) -> int:
-        mid = msg_ids.get(message)
-        if mid is None:
-            mid = msg_ids[message] = len(msg_values)
-            msg_values.append(message)
-        return mid
-
-    def output_of(sid: int) -> Any:
-        value = state_outputs[sid]
-        if value is _MISSING:
-            state = state_values[sid]
-            value = state.value if default_protocol else inner.output(state)
-            state_outputs[sid] = value
-        return value
-
-    # Collapse each topology group and lay out the arena rows.
-    groups: dict[int, list[int]] = {}
-    for index, instance in enumerate(compiled):
-        groups.setdefault(id(instance.topology), []).append(index)
-    layouts = []
-    total_rows = 0
-    max_nodes = 0
-    max_deg = 0
-    max_ports = 0
-    for indices in groups.values():
-        group = [compiled[i] for i in indices]
-        group_inputs = [per_inputs[i] for i in indices]
-        signature_of = delivery_signature_of(
-            inner.model, any(item is not None for item in group_inputs)
-        )
-        executed, duplicates = collapse_instances(group, signature_of)
-        topology = group[0].topology
-        layouts.append((topology, group, indices, group_inputs, executed, duplicates, total_rows))
-        total_rows += len(executed)
-        max_nodes = max(max_nodes, len(topology.nodes))
-        max_deg = max(max_deg, max(topology.degrees, default=0))
-        max_ports = max(max_ports, topology.num_ports)
-    if not total_rows:
-        return
-
-    state = np.zeros((total_rows, max_nodes), dtype=np.int64)
-    node_valid = np.zeros((total_rows, max_nodes), dtype=bool)
-    deg_mat = np.zeros((total_rows, max_nodes), dtype=np.int64)
-    owner = np.zeros((total_rows, max_ports), dtype=np.int64)
-    q_mat = np.zeros((total_rows, max_ports), dtype=np.int64)
-    src = np.zeros((total_rows, max_ports), dtype=np.int64)
-    port_valid = np.zeros((total_rows, max_ports), dtype=bool)
-
-    initial_rows = tables.initial_rows
-    for topology, group, indices, group_inputs, executed, duplicates, offset in layouts:
-        nodes = topology.nodes
-        n = len(nodes)
-        degrees = topology.degrees
-        ports = topology.num_ports
-        init_row = [0] * n
-        for i in range(n):
-            sid = initial_rows.get(degrees[i])
-            if sid is None:
-                sid = initial_rows[degrees[i]] = intern_state(inner.initial_state(degrees[i]))
-            init_row[i] = sid
-        deg_np = np.asarray(degrees, dtype=np.int64)
-        port_owner = np.repeat(np.arange(n, dtype=np.int64), deg_np)
-        port_q = (
-            np.concatenate([np.arange(d, dtype=np.int64) for d in degrees])
-            if ports
-            else np.empty(0, dtype=np.int64)
-        )
-        for row, position in enumerate(executed):
-            r = offset + row
-            item_inputs = group_inputs[position]
-            if item_inputs is None:
-                state[r, :n] = init_row
-            else:
-                state[r, :n] = [
-                    intern_state(
-                        inner.initial_state_with_input(degrees[i], item_inputs.get(nodes[i]))
-                    )
-                    for i in range(n)
-                ]
-            node_valid[r, :n] = True
-            deg_mat[r, :n] = deg_np
-            if ports:
-                owner[r, :ports] = port_owner
-                q_mat[r, :ports] = port_q
-                port_valid[r, :ports] = True
-                if broadcast:
-                    src[r, :ports] = [
-                        s for senders in group[position].source_nodes for s in senders
-                    ]
-                else:
-                    src[r, :ports] = [s for slots in group[position].sources for s in slots]
-
-    # Configuration rows are keyed at the batch-wide width (padded lanes in
-    # narrower topologies carry the sentinel, which ``evaluate`` filters).
-    width = 1 + max_deg
-    config_table = vtables.configs.setdefault(width, {})
-
-    def fill_send_rows(st: Any, valid: Any, deg: Any) -> None:
-        """Fill the lazy send tables for the valid (sid, shape) pairs."""
-        if broadcast:
-            table = vtables.ensure_bcast(np, len(state_values))
-            missing = (table[st] < 0) & valid
-            if not missing.any():
-                return
-            for sid in np.unique(st[missing]):
-                sid = int(sid)
-                if table[sid] < 0:
-                    table[sid] = (
-                        0 if state_stops[sid] else intern_msg(broadcast_rule(state_values[sid]))
-                    )
-            return
-        if max_deg == 0:
-            return
-        table = vtables.ensure_send(np, len(state_values), max_deg)
-        fill_np = vtables.send_fill_np
-        need = fill_np[st] < deg  # padded lanes have degree 0: never needed
-        if not need.any():
-            return
-        send_fill = vtables.send_fill
-        for key in np.unique(st[need] * (max_deg + 1) + deg[need]):
-            sid, degree = divmod(int(key), max_deg + 1)
-            filled = send_fill.get(sid, 0)
-            if filled >= degree:
-                continue
-            if state_stops[sid]:
-                table[sid, filled:degree] = 0
-            else:
-                value = state_values[sid]
-                table[sid, filled:degree] = [
-                    intern_msg(send(value, q + 1)) for q in range(filled, degree)
-                ]
-            send_fill[sid] = degree
-            fill_np[sid] = degree
-
-    def evaluate(row: Any) -> tuple[int, bool]:
-        """Consult the algorithm for a configuration row never seen before."""
-        sid = int(row[0])
-        inbox = row[1:]
-        real = inbox[inbox != _SENTINEL]
-        vector = tuple(msg_values[int(mid)] for mid in real)
-        new_state = transition(
-            state_values[sid], vector if vector_mode else project(vector)
-        )
-        nsid = intern_state(new_state)
-        return (nsid, state_stops[nsid])
-
-    rounds = np.zeros(total_rows, dtype=np.int64)
-    halted = np.zeros(total_rows, dtype=bool)
-    walk = np.zeros(total_rows, dtype=np.int64)
-    evaluations = 0
-    occurrences = 0
-    fastpath_rounds = 0
-    sortpath_rounds = 0
-    pack_base = -1
-    pack_keys: Any = None
-    pack_sids: Any = None
-
-    stops_np = vtables.sync_stops(np, state_stops)
-    done = (stops_np[state] | ~node_valid).all(axis=1)
-    halted[done] = True
-    live = np.nonzero(~done)[0]
-
-    current_round = 0
-    while live.size and current_round < max_rounds:
-        current_round += 1
-        st = state[live]
-        valid = node_valid[live]
-        alive = ~stops_np[st] & valid
-        deg = deg_mat[live]
-
-        fill_send_rows(st, valid, deg)
-        if broadcast:
-            out = vtables.bcast_table[st]  # (L, max_nodes)
-        elif max_ports:
-            sid_at_port = np.take_along_axis(st, owner[live], axis=1)
-            out = vtables.send_table[sid_at_port, q_mat[live]]  # (L, max_ports)
-        else:
-            out = np.empty((len(live), 0), dtype=np.int64)
-
-        inbox = np.full((len(live), max_nodes, max_deg), _SENTINEL, dtype=np.int64)
-        if max_ports:
-            recv = np.take_along_axis(out, src[live], axis=1)
-            pv = port_valid[live]
-            row_idx = np.nonzero(pv)[0]
-            inbox[row_idx, owner[live][pv], q_mat[live][pv]] = recv[pv]
-        if not vector_mode and max_deg > 1:
-            inbox.sort(axis=2)
-            if set_mode:
-                dup = inbox[:, :, 1:] == inbox[:, :, :-1]
-                if dup.any():
-                    inbox[:, :, 1:][dup] = _SENTINEL
-                    inbox.sort(axis=2)
-
-        cfg = np.concatenate([st[:, :, None], inbox], axis=2)
-        rows = cfg[alive]
-        if rows.size:
-            base = len(msg_values) + 1
-            packable = (len(state_values) + 1) * base ** max_deg < _PACK_LIMIT
-            packed = None
-            handled = False
-            if packable:
-                packed = rows[:, 0].copy()
-                for col in range(1, max_deg + 1):
-                    slot = rows[:, col]
-                    packed *= base
-                    packed += np.where(slot == _SENTINEL, base - 1, slot)
-                if base == pack_base and pack_keys is not None and pack_keys.size:
-                    pos = np.searchsorted(pack_keys, packed)
-                    np.minimum(pos, len(pack_keys) - 1, out=pos)
-                    if (pack_keys[pos] == packed).all():
-                        st[alive] = pack_sids[pos]
-                        handled = True
-            if not handled:
-                if packable:
-                    uniq_keys, first, inverse = np.unique(
-                        packed, return_index=True, return_inverse=True
-                    )
-                    uniq = rows[first]
-                else:
-                    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-                inverse = inverse.reshape(-1)
-                new_sids = np.empty(len(uniq), dtype=np.int64)
-                table_get = config_table.get
-                for u in range(len(uniq)):
-                    row = uniq[u]
-                    key = row.tobytes()
-                    entry = table_get(key)
-                    if entry is None:
-                        evaluations += 1
-                        entry = config_table[key] = evaluate(row)
-                    new_sids[u] = entry[0]
-                st[alive] = new_sids[inverse]
-                if packable:
-                    if base == pack_base and pack_keys is not None and pack_keys.size:
-                        merged = np.union1d(pack_keys, uniq_keys)
-                        merged_sids = np.empty(len(merged), dtype=np.int64)
-                        merged_sids[np.searchsorted(merged, pack_keys)] = pack_sids
-                        merged_sids[np.searchsorted(merged, uniq_keys)] = new_sids
-                        pack_keys, pack_sids = merged, merged_sids
-                    else:
-                        pack_base = base
-                        pack_keys, pack_sids = uniq_keys, new_sids
-                else:
-                    pack_base = -1
-                    pack_keys = pack_sids = None
-            if handled:
-                fastpath_rounds += 1
-            else:
-                sortpath_rounds += 1
-            state[live] = st
-
-        occurrences += int(alive.sum())
-        walk[live] += alive.sum(axis=1)
-
-        stops_np = vtables.sync_stops(np, state_stops)
-        done = (stops_np[state[live]] | ~node_valid[live]).all(axis=1)
-        if done.any():
-            finished = live[done]
-            rounds[finished] = current_round
-            halted[finished] = True
-            live = live[~done]
-
-    if live.size:
-        rounds[live] = current_round  # round budget exhausted, not halted
-
-    # Materialize results (memoized over repeated final configurations,
-    # keyed per topology group: equal state rows of different topologies
-    # name different nodes).
-    result_memo: dict[tuple, tuple[dict, dict]] = {}
-    total_executed = 0
-    total_duplicates = 0
-    replicated_occurrences = 0
-    for group_index, layout in enumerate(layouts):
-        topology, group, indices, group_inputs, executed, duplicates, offset = layout
-        nodes = topology.nodes
-        n = len(nodes)
-        for row, position in enumerate(executed):
-            r = offset + row
-            state_row = state[r, :n]
-            instance_halted = bool(halted[r])
-            instance_rounds = int(rounds[r])
-            memo_key = (group_index, instance_halted, instance_rounds, state_row.tobytes())
-            memoized = result_memo.get(memo_key)
-            if memoized is None:
-                sids = [int(sid) for sid in state_row]
-                final_states = dict(zip(nodes, map(state_values.__getitem__, sids)))
-                if instance_halted:
-                    outputs = dict(zip(nodes, map(output_of, sids)))
-                else:
-                    outputs = {
-                        nodes[i]: output_of(sid)
-                        for i, sid in enumerate(sids)
-                        if state_stops[sid]
-                    }
-                memoized = result_memo[memo_key] = (outputs, final_states)
-            results[indices[position]] = ExecutionResult(
-                outputs=memoized[0].copy(),
-                rounds=instance_rounds,
-                halted=instance_halted,
-                trace=None,
-                states=memoized[1].copy(),
-            )
-        position_of = {position: row for row, position in enumerate(executed)}
-        for position, representative in duplicates:
-            original = results[indices[representative]]
-            replicated_occurrences += int(walk[offset + position_of[representative]])
-            results[indices[position]] = ExecutionResult(
-                outputs=original.outputs.copy(),
-                rounds=original.rounds,
-                halted=original.halted,
-                trace=None,
-                states=dict(original.states) if original.states is not None else None,
-            )
-        total_executed += len(executed)
-        total_duplicates += len(duplicates)
-
-    if stats is not None:
-        stats.executed += total_executed
-        stats.replicated += total_duplicates
-        stats.rounds += int(rounds.sum())
-        stats.occurrences += occurrences
-        stats.replicated_occurrences += replicated_occurrences
-        stats.evaluations += evaluations
-    if _metrics.enabled():
-        _metrics.counter("vector.arena_batches").inc()
-        _metrics.gauge("vector.arena_rows").set(total_rows)
-        if fastpath_rounds:
-            _metrics.counter("vector.rounds_fastpath").inc(fastpath_rounds)
-        if sortpath_rounds:
-            _metrics.counter("vector.rounds_sortpath").inc(sortpath_rounds)
+    return finals, evaluations

@@ -28,7 +28,6 @@ from repro.logic.syntax import (
     Prop,
     Top,
     dag_size,
-    formula_pool,
     modal_depth,
     tree_size,
 )
@@ -36,12 +35,7 @@ from repro.machines.algorithm import Output, VectorAlgorithm
 from repro.machines.fastpath import fast_path
 from repro.machines.library import class_view, random_machine, reference_machine
 from repro.machines.models import ProblemClass, ReceiveMode, SendMode
-from repro.machines.state_machine import FiniteStateMachine
-from repro.modal.algorithm_to_formula import (
-    FormulaSizeError,
-    formula_for_machine,
-    predict_formula_nodes,
-)
+from repro.modal.algorithm_to_formula import FormulaSizeError, formula_for_machine
 from repro.modal import correspondence
 from repro.modal.correspondence import (
     algorithm_matches_formula,
@@ -338,22 +332,50 @@ class TestFormulaSizeBudget:
         assert modal_depth(formula) == 1
 
     def test_prediction_bounds_actual_pool_growth(self):
-        """The estimate is an upper bound: unique messages defeat interning."""
-        machine = FiniteStateMachine(
-            delta_bound=2,
-            intermediate_states=frozenset({"u-state-a", "u-state-b"}),
-            stopping_states=frozenset({0, 1}),
-            messages=frozenset({"uniq-m1", "uniq-m2"}),
-            initial_states={0: "u-state-a", 1: "u-state-b", 2: "u-state-a"},
-            message_table=lambda state, port: "uniq-m1" if state == "u-state-a" else "uniq-m2",
-            transition_table=lambda state, padded: 1 if "uniq-m1" in set(padded) else 0,
+        """The estimate is an upper bound on the pool growth it predicts.
+
+        Run in a fresh interpreter, where the pool is empty: message names
+        never appear in a formula node, so formulas an earlier test interned
+        would hide growth (19 nodes after ``_some_odd_neighbour_machine(2)``
+        is built, none after a machine differing only in names) and let the
+        bound pass vacuously.
+        """
+        code = textwrap.dedent(
+            """
+            from repro.logic.syntax import formula_pool
+            from repro.machines.models import ProblemClass
+            from repro.machines.state_machine import FiniteStateMachine
+            from repro.modal.algorithm_to_formula import (
+                formula_for_machine,
+                predict_formula_nodes,
+            )
+
+            machine = FiniteStateMachine(
+                delta_bound=2,
+                intermediate_states=frozenset({"u-state-a", "u-state-b"}),
+                stopping_states=frozenset({0, 1}),
+                messages=frozenset({"uniq-m1", "uniq-m2"}),
+                initial_states={0: "u-state-a", 1: "u-state-b", 2: "u-state-a"},
+                message_table=lambda state, port: (
+                    "uniq-m1" if state == "u-state-a" else "uniq-m2"
+                ),
+                transition_table=lambda state, padded: 1 if "uniq-m1" in set(padded) else 0,
+            )
+            predicted, specs = predict_formula_nodes(machine, ProblemClass.SB, 1)
+            before = len(formula_pool())
+            formula_for_machine(machine, ProblemClass.SB, 1)
+            print(predicted, specs, len(formula_pool()) - before)
+            """
         )
-        predicted, specs = predict_formula_nodes(machine, ProblemClass.SB, 1)
-        pool = formula_pool()
-        before = len(pool)
-        formula_for_machine(machine, ProblemClass.SB, 1)
-        grown = len(pool) - before
-        assert grown <= predicted
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        predicted, specs, grown = map(int, proc.stdout.split())
+        assert 0 < grown <= predicted
+        assert grown == 74
         assert specs > 0
 
     def test_live_pool_growth_backstops_an_underestimate(self, monkeypatch):

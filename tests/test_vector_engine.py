@@ -32,8 +32,8 @@ from test_sweep_engine import (  # noqa: E402
 from repro.campaign.registry import build_algorithm  # noqa: E402
 from repro.core import simulate_vector_with_multiset  # noqa: E402
 from repro.execution.engine import ExecutionError, run_iter, run_many  # noqa: E402
-from repro.execution.sweep import SweepStats, run_sweep  # noqa: E402
-from repro.execution.vector import run_vector, vector_tables_for  # noqa: E402
+from repro.execution.sweep import SweepStats, run_sweep, sweep_tables_for  # noqa: E402
+from repro.execution.vector import run_vector  # noqa: E402
 from repro.graphs.generators import (  # noqa: E402
     cycle_graph,
     path_graph,
@@ -137,62 +137,25 @@ class TestNativeProbes:
             run_vector(algorithm, instances), run_sweep(algorithm, instances)
         )
 
-    def test_arena_batching_matches_grouped(self):
-        # The padded multi-topology arena (arena=True) against one batch per
-        # topology (arena=False), over mixed families, ports and broadcast.
+    def test_mixed_family_batch_matches_sweep(self):
+        # One flat kernel call over mixed families, ports and broadcast
+        # against the superposed sweep.
         instances = []
         for graph in (cycle_graph(4), cycle_graph(6), path_graph(5), star_graph(4)):
             instances.append((graph, consistent_port_numbering(graph)))
             instances.append((graph, random_port_numbering(graph, rng=random.Random(7))))
         for name in ("degree", "gather-degrees", "leaf-election"):
-            grouped = run_vector(
+            swept = run_sweep(
                 fast_path(build_algorithm(name), memoize_transitions=True),
                 instances,
                 max_rounds=50,
-                arena=False,
             )
-            arena = run_vector(
+            vectored = run_vector(
                 fast_path(build_algorithm(name), memoize_transitions=True),
                 instances,
                 max_rounds=50,
-                arena=True,
             )
-            assert_identical(arena, grouped)
-
-    @pytest.mark.parametrize("name", ["degree", "gather-degrees", "leaf-election"])
-    def test_default_uses_the_arena_only_across_topologies(self, name):
-        from repro import obs
-
-        graph = cycle_graph(6)
-        single = [(graph, consistent_port_numbering(graph))] + [
-            (graph, random_port_numbering(graph, rng=random.Random(seed)))
-            for seed in range(3)
-        ]
-        mixed = single + [
-            (other, consistent_port_numbering(other))
-            for other in (path_graph(5), star_graph(4))
-        ]
-        for batch, arena_batches in ((single, 0), (mixed, 1)):
-            grouped = run_vector(
-                fast_path(build_algorithm(name), memoize_transitions=True),
-                batch,
-                max_rounds=50,
-                arena=False,
-            )
-            obs.reset()
-            obs.enable()
-            try:
-                auto = run_vector(
-                    fast_path(build_algorithm(name), memoize_transitions=True),
-                    batch,
-                    max_rounds=50,
-                )
-                counters = obs.snapshot()["counters"]
-            finally:
-                obs.disable()
-                obs.reset()
-            assert counters.get("vector.arena_batches", 0) == arena_batches
-            assert_identical(auto, grouped)
+            assert_identical(vectored, swept)
 
     def test_round_budget_and_zero_rounds(self):
         graph = cycle_graph(5)
@@ -303,8 +266,7 @@ class TestVectorTables:
         ]
         first = SweepStats()
         run_vector(fast, instances, stats=first)
-        tables = vector_tables_for(fast)
-        assert tables.config_count > 0
+        assert len(sweep_tables_for(fast).configs) > 0
         second = SweepStats()
         run_vector(fast, instances, stats=second)
         assert second.evaluations == 0, "warm tables answer the whole re-sweep"
@@ -324,9 +286,9 @@ class TestVectorTables:
     def test_clear_cache_drops_vector_tables(self):
         fast = fast_path(make_probe(MODEL_BASES["VV"]))
         run_vector(fast, [cycle_graph(4)])
-        assert vector_tables_for(fast).config_count > 0
+        assert len(sweep_tables_for(fast).configs) > 0
         fast.clear_cache()
-        assert vector_tables_for(fast).config_count == 0
+        assert len(sweep_tables_for(fast).configs) == 0
 
     def test_stats_account_for_dedup(self):
         graph = random_regular_graph(3, 8, seed=2)
