@@ -10,10 +10,9 @@ campaigns, and CI consumes one record shape for both.
 Everything is *incremental*: ``fold`` consumes a single record, ``result``
 (or ``rollups``) finalizes whatever has been folded so far.  The campaign
 dispatcher folds each unit's records as they land, so a finished run's report
-rereads only its store hits; the batch helpers
-(:func:`rollup_execution` & friends, :func:`campaign_result`) are thin loops
-over the same fold, which is what guarantees streaming and batch rollups are
-*exactly* equal -- they are one implementation.
+rereads only its store hits; the batch form, :func:`campaign_result`, is a
+thin loop over the same fold, so streaming and batch rollups are *exactly*
+equal.
 
 Rollups group records by workload (algorithm or formula set):
 
@@ -194,37 +193,6 @@ _FOLDS = {
     "logic": LogicRollup,
     "correspondence": CorrespondenceRollup,
 }
-
-
-# --------------------------------------------------------------------------- #
-# Batch helpers (thin loops over the folds -- one implementation, two shapes)
-# --------------------------------------------------------------------------- #
-
-
-def rollup_execution(records: Iterable[dict[str, Any]]) -> dict[str, dict[str, Any]]:
-    """Per-workload execution rollups, keyed by algorithm name."""
-    fold = ExecutionRollup()
-    for record in records:
-        fold.fold(record)
-    return fold.finalize()
-
-
-def rollup_logic(records: Iterable[dict[str, Any]]) -> dict[tuple[str, str], dict[str, Any]]:
-    """Per ``(formula set, model class)`` logic rollups."""
-    fold = LogicRollup()
-    for record in records:
-        fold.fold(record)
-    return fold.finalize()
-
-
-def rollup_correspondence(
-    records: Iterable[dict[str, Any]],
-) -> dict[tuple[str, str], dict[str, Any]]:
-    """Per ``(machine, model class)`` Theorem 2 round-trip rollups."""
-    fold = CorrespondenceRollup()
-    for record in records:
-        fold.fold(record)
-    return fold.finalize()
 
 
 # --------------------------------------------------------------------------- #

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.execution.adversary import port_numberings_to_check
-from repro.execution.engine import logic_engine_for, run_iter
+from repro.engines.registry import logic_engine_for
+from repro.execution.engine import run_iter
 from repro.execution.runner import run
 from repro.graphs.graph import Graph, Node
 from repro.graphs.ports import PortNumbering
@@ -55,9 +56,7 @@ class ContainmentEvidence:
         outputs_valid: Callable[[Graph, PortNumbering, dict[Node, Any]], bool],
         exhaustive_limit: int = 200,
         samples: int = 10,
-        workers: int | None = None,
         engine: str = "sweep",
-        memoize_transitions: bool = True,
     ) -> bool:
         """Check that the simulation preserves solution validity on the inputs.
 
@@ -84,9 +83,8 @@ class ContainmentEvidence:
                     simulated,
                     [(graph, numbering) for numbering in numberings],
                     require_halt=False,
-                    workers=workers,
                     engine=engine,
-                    memoize_transitions=memoize_transitions,
+                    memoize_transitions=True,
                 )
                 # Stop at the first invalid simulation run.  (The compiled
                 # and reference engines stream lazily, so the early return
@@ -171,9 +169,7 @@ class SeparationEvidence:
         graphs: Sequence[Graph],
         exhaustive_limit: int = 200,
         samples: int = 10,
-        workers: int | None = None,
         engine: str = "sweep",
-        memoize_transitions: bool = True,
     ) -> bool:
         """Membership in the larger class: the solver is valid on all inputs."""
         for graph in graphs:
@@ -189,9 +185,8 @@ class SeparationEvidence:
                     )
                 ],
                 require_halt=False,
-                workers=workers,
                 engine=engine,
-                memoize_transitions=memoize_transitions,
+                memoize_transitions=True,
             )
             for result in results:
                 if not result.halted or not self.is_valid_solution(graph, result.outputs):
@@ -201,7 +196,6 @@ class SeparationEvidence:
     def verify(
         self,
         graphs: Sequence[Graph] | None = None,
-        workers: int | None = None,
         engine: str = "sweep",
     ) -> bool:
         """Replay the whole separation argument.
@@ -217,7 +211,7 @@ class SeparationEvidence:
         return (
             self.witness_bisimilar(logic_engine=logic_engine)
             and self.solutions_must_distinguish()
-            and self.solver_succeeds(test_graphs, workers=workers, engine=engine)
+            and self.solver_succeeds(test_graphs, engine=engine)
         )
 
 

@@ -1,7 +1,7 @@
 """Unified registry of the ``engine=`` backends.
 
 Every public ``engine=`` knob in the library -- execution
-(:func:`repro.execution.engine.run_iter` / ``run_many`` / ``run_sweep``),
+(:func:`repro.execution.engine.run_iter` / ``run_many``),
 logic (:func:`repro.logic.engine.check_many` / ``check_sweep`` and the
 semantics/bisimulation wrappers), classification, correspondence and
 campaign-spec validation -- resolves through this package.  See

@@ -21,8 +21,9 @@ Capability vocabulary
 ---------------------
 
 ``"sweep"``
-    The engine can execute batches of port-numbered instances
-    (:func:`repro.execution.engine.run_iter` / ``run_many`` / ``run_sweep``).
+    The engine can execute batches of port-numbered instances through
+    :func:`repro.execution.engine.run_iter` / ``run_many``; ``run_iter`` is
+    the one place such a name turns into a runner.
 ``"logic"``
     The engine can evaluate modal formulas over Kripke models
     (:func:`repro.logic.engine.check_many` / ``check_sweep`` and the

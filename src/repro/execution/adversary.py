@@ -34,8 +34,8 @@ from repro.graphs.ports import (
     random_port_numbering,
 )
 from repro.machines.algorithm import Algorithm
+from repro.execution.engine import run_many
 from repro.execution.runner import DEFAULT_MAX_ROUNDS, ExecutionResult
-from repro.execution.sweep import run_sweep
 
 #: If a graph has at most this many port numberings, enumerate them all.
 DEFAULT_EXHAUSTIVE_LIMIT = 2_000
@@ -118,8 +118,9 @@ def outputs_over_port_numberings(
     :func:`port_numberings_to_check` (each unpacks as a
     ``(numbering, result)`` pair).  The whole sweep executes through the
     superposed batch engine (:func:`repro.execution.sweep.run_sweep`) by
-    default; ``engine`` selects the vectorized kernel, the per-instance
-    compiled loop or the seed runner as oracles.
+    default; ``engine`` selects, through
+    :func:`~repro.execution.engine.run_many`, the vectorized kernel or, as
+    memoizing oracles, the per-instance compiled loop or the seed runner.
     """
     numberings = list(
         port_numberings_to_check(
@@ -130,11 +131,12 @@ def outputs_over_port_numberings(
             seed=seed,
         )
     )
-    results = run_sweep(
+    results = run_many(
         algorithm,
         [(graph, numbering) for numbering in numberings],
         max_rounds=max_rounds,
         engine=engine,
+        memoize_transitions=True,
     )
     return [
         AdversarialOutcome(numbering=numbering, result=result)

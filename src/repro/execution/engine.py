@@ -21,10 +21,10 @@ flat index arrays:
   transitions, and a node that halts parks ``m0`` in its output slots exactly
   once (halted nodes keep sending ``m0`` forever, as in the paper);
 * :func:`run_many` is the batch API for experiment sweeps: it runs one
-  algorithm over many instances, sharing the compiled topology and the
-  :class:`~repro.machines.fastpath.FastPathAlgorithm` projection cache across
-  the batch, optionally fanning the batch out over ``multiprocessing``
-  workers.
+  algorithm over many instances in-process, sharing the compiled topology
+  and the :class:`~repro.machines.fastpath.FastPathAlgorithm` projection
+  cache across the batch, and :func:`run_iter` is the one place an
+  ``engine=`` name turns into a runner.
 
 Per-graph topology (everything that does not depend on the port numbering) is
 cached in a :class:`weakref.WeakKeyDictionary`, so adversarial sweeps that
@@ -47,6 +47,7 @@ from repro.machines.algorithm import NO_MESSAGE, Algorithm, Output
 from repro.machines.fastpath import FastPathAlgorithm, fast_path
 from repro.machines.models import SendMode
 from repro.execution.trace import Trace
+from repro.engines.registry import resolve_engine
 
 #: Default bound on the number of rounds before the engine gives up.
 DEFAULT_MAX_ROUNDS = 10_000
@@ -478,21 +479,6 @@ def _finish(
 # Batch API
 # --------------------------------------------------------------------------- #
 
-from repro.engines.registry import (  # noqa: E402  (re-exported knob helpers)
-    engine_names,
-    logic_engine_for,
-    resolve_engine,
-)
-
-#: Engine backends selectable by benchmarks and A/B tests, in registry order.
-#: ``"sweep"`` is the superposed batch executor of
-#: :mod:`repro.execution.sweep` (identical results, one transition
-#: evaluation per distinct configuration across the whole batch) and
-#: ``"vector"`` its NumPy array twin (:mod:`repro.execution.vector`).
-#: Resolution, capability checks and availability probes all live in
-#: :mod:`repro.engines.registry`.
-ENGINES = engine_names(requires={"sweep"})
-
 
 def _run_one(
     fast: FastPathAlgorithm,
@@ -536,34 +522,6 @@ def _run_one(
     )
 
 
-_WORKER_STATE: tuple[FastPathAlgorithm, int, bool, bool, str] | None = None
-
-
-def _init_worker(
-    algorithm: Algorithm,
-    max_rounds: int,
-    require_halt: bool,
-    record_trace: bool,
-    engine: str,
-    memoize_transitions: bool = False,
-) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (
-        fast_path(algorithm, memoize_transitions=memoize_transitions),
-        max_rounds,
-        require_halt,
-        record_trace,
-        engine,
-    )
-
-
-def _worker_run(payload: tuple[Instance, dict[Node, Any] | None]) -> ExecutionResult:
-    assert _WORKER_STATE is not None
-    fast, max_rounds, require_halt, record_trace, engine = _WORKER_STATE
-    instance, inputs = payload
-    return _run_one(fast, instance, max_rounds, require_halt, record_trace, inputs, engine)
-
-
 def run_iter(
     algorithm: Algorithm,
     instances: Iterable[Instance],
@@ -572,7 +530,6 @@ def run_iter(
     require_halt: bool = True,
     record_trace: bool = False,
     inputs: Sequence[dict[Node, Any] | None] | None = None,
-    workers: int | None = None,
     engine: str = "compiled",
     memoize_transitions: bool = False,
 ) -> "Iterator[ExecutionResult]":
@@ -580,17 +537,16 @@ def run_iter(
 
     Same contract as :func:`run_many`, but results are produced as they
     complete, so consumers that stop at the first interesting result (e.g.
-    counterexample search) do not pay for the rest of the batch.  With
-    ``workers`` the pool is shut down as soon as the consumer stops
-    iterating.
+    counterexample search) do not pay for the rest of the batch.  Only the
+    execution is lazy: an unknown or unavailable engine and an ``inputs``
+    list of the wrong length raise at the call, before any iteration.
     """
     spec = resolve_engine(engine, requires={"sweep"}, operation="run_iter")
     if record_trace and "trace" not in spec.capabilities:
         # Batch engines (sweep, vector) do not materialize per-instance
         # traces; trace consumers transparently get the (identical) compiled
         # loop.
-        engine = "compiled"
-        spec = resolve_engine(engine, requires={"sweep"}, operation="run_iter")
+        spec = resolve_engine("compiled", requires={"sweep"}, operation="run_iter")
     items = list(instances)
     if inputs is None:
         per_inputs: list[dict[Node, Any] | None] = [None] * len(items)
@@ -601,14 +557,15 @@ def run_iter(
                 f"inputs has {len(per_inputs)} entries for {len(items)} instances"
             )
 
-    if spec.batched:
-        # Superposed/vector execution is already a batch-level optimization;
-        # the whole sweep runs in-process (``workers`` would split the
-        # interning arena and forfeit cross-instance deduplication).
-        if spec.name == "vector":
-            from repro.execution.vector import run_vector
-
-            yield from run_vector(
+    def results() -> "Iterator[ExecutionResult]":
+        if spec.batched:
+            # The superposed and vector engines execute the whole batch in
+            # one call, deduplicating configurations across all of it.
+            if spec.name == "vector":
+                from repro.execution.vector import run_vector as runner
+            else:
+                from repro.execution.sweep import run_sweep as runner
+            yield from runner(
                 algorithm,
                 items,
                 max_rounds=max_rounds,
@@ -616,40 +573,13 @@ def run_iter(
                 inputs=per_inputs,
             )
             return
-        from repro.execution.sweep import run_sweep
+        fast = fast_path(algorithm, memoize_transitions=memoize_transitions)
+        for item, item_inputs in zip(items, per_inputs):
+            yield _run_one(
+                fast, item, max_rounds, require_halt, record_trace, item_inputs, spec.name
+            )
 
-        yield from run_sweep(
-            algorithm,
-            items,
-            max_rounds=max_rounds,
-            require_halt=require_halt,
-            inputs=per_inputs,
-        )
-        return
-
-    if workers and workers > 1 and len(items) > 1:
-        import multiprocessing
-
-        pool_size = min(workers, len(items))
-        chunksize = max(1, len(items) // (pool_size * 4))
-        with multiprocessing.Pool(
-            pool_size,
-            initializer=_init_worker,
-            initargs=(
-                algorithm,
-                max_rounds,
-                require_halt,
-                record_trace,
-                engine,
-                memoize_transitions,
-            ),
-        ) as pool:
-            yield from pool.imap(_worker_run, zip(items, per_inputs), chunksize=chunksize)
-        return
-
-    fast = fast_path(algorithm, memoize_transitions=memoize_transitions)
-    for item, item_inputs in zip(items, per_inputs):
-        yield _run_one(fast, item, max_rounds, require_halt, record_trace, item_inputs, engine)
+    return results()
 
 
 def run_many(
@@ -660,11 +590,14 @@ def run_many(
     require_halt: bool = True,
     record_trace: bool = False,
     inputs: Sequence[dict[Node, Any] | None] | None = None,
-    workers: int | None = None,
     engine: str = "compiled",
     memoize_transitions: bool = False,
 ) -> list[ExecutionResult]:
-    """Run one algorithm over a batch of instances.
+    """Run one algorithm over a batch of instances, in this process.
+
+    Work that needs several cores goes through a campaign instead
+    (:func:`repro.campaign.executor.run_campaign`, ``--workers N``), whose
+    dispatcher survives the death of a worker.
 
     Parameters
     ----------
@@ -681,11 +614,6 @@ def run_many(
     inputs:
         Optional per-instance local-input mappings, aligned with
         ``instances``.
-    workers:
-        ``None``, 0 or 1 runs the batch in-process (sharing one projection
-        cache across the whole batch).  A larger value fans the batch out
-        over a ``multiprocessing`` pool; the algorithm and the instances must
-        then be picklable.
     engine:
         ``"compiled"`` (default) uses this module's compiled active-set loop;
         ``"sweep"`` executes the whole batch superposed through
@@ -693,10 +621,10 @@ def run_many(
         per distinct configuration) and ``"vector"`` through the NumPy
         kernel of :func:`repro.execution.vector.run_vector` (one array pass
         per round over the whole batch; requires NumPy) -- for both batch
-        engines ``workers`` is ignored and ``record_trace`` falls back to
-        the compiled loop; ``"reference"`` dispatches every instance to the
-        seed reference runner -- useful for differential testing and speedup
-        benchmarks on identical workloads.  The knob resolves through
+        engines ``record_trace`` falls back to the compiled loop;
+        ``"reference"`` dispatches every instance to the seed reference
+        runner -- useful for differential testing and speedup benchmarks on
+        identical workloads.  The knob resolves through
         :func:`repro.engines.resolve_engine`, which raises the shared
         unknown-engine/capability/availability errors.
     memoize_transitions:
@@ -720,7 +648,6 @@ def run_many(
             require_halt=require_halt,
             record_trace=record_trace,
             inputs=inputs,
-            workers=workers,
             engine=engine,
             memoize_transitions=memoize_transitions,
         )

@@ -43,7 +43,8 @@ runs only when a configuration is genuinely new.  The NumPy vector kernel
 (:func:`bind_interner`) into the same tables.  The result is
 node-for-node identical to the compiled engine and the seed reference
 runner (``tests/test_sweep_engine.py`` checks all seven classes
-differentially); both stay available as oracles through the ``engine`` knob
+differentially); both stay available as oracles through
+:func:`~repro.execution.engine.run_many`'s ``engine`` knob
 (``engine="compiled"`` / ``"reference"``).
 
 Limits: traces are not recorded (callers that need a
@@ -421,8 +422,6 @@ def run_sweep(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     require_halt: bool = True,
     inputs: Sequence[dict[Node, Any] | None] | None = None,
-    workers: int | None = None,
-    engine: str = "sweep",
     stats: SweepStats | None = None,
 ) -> list[ExecutionResult]:
     """Run one algorithm over a sweep of instances, superposed.
@@ -432,48 +431,10 @@ def run_sweep(
     engine's.  Instances are grouped by their shared compiled topology, so a
     sweep may mix graphs (each group still executes over the same global
     interning tables, which is where the cross-instance deduplication lives).
-
-    ``engine`` keeps the other backends available as differential oracles:
-    ``"compiled"`` routes the batch through the compiled active-set loop,
-    ``"reference"`` through the seed runner, ``"vector"`` through the NumPy
-    kernel (:mod:`repro.execution.vector`); the default ``"sweep"`` executes
-    superposed.  The knob resolves through the engine registry
-    (:func:`repro.engines.resolve_engine`), so unknown names and capability
-    mismatches are diagnosed there.  ``workers`` matches the unified batch
-    signature: the superposed and vector paths always run in-process (a
-    process split would partition the interning arena and forfeit
-    cross-instance deduplication), and the per-instance oracles forward it
-    to :func:`~repro.execution.engine.run_many`.  ``stats``, when given,
-    accumulates a :class:`SweepStats` work account (superposed and vector
-    paths only).
+    The whole sweep runs in this process.  ``stats``, when given,
+    accumulates a :class:`SweepStats` work account.  The other engines,
+    oracles included, are selected through ``run_many``'s ``engine`` knob.
     """
-    from repro.engines.registry import resolve_engine
-
-    spec = resolve_engine(engine, requires={"sweep"}, operation="run_sweep")
-    if spec.name == "vector":
-        from repro.execution.vector import run_vector
-
-        return run_vector(
-            algorithm,
-            instances,
-            max_rounds=max_rounds,
-            require_halt=require_halt,
-            inputs=inputs,
-            stats=stats,
-        )
-    if spec.name in ("compiled", "reference"):
-        from repro.execution.engine import run_many
-
-        return run_many(
-            algorithm,
-            instances,
-            max_rounds=max_rounds,
-            require_halt=require_halt,
-            inputs=inputs,
-            workers=workers,
-            engine=engine,
-            memoize_transitions=True,
-        )
     return run_batch(
         _sweep_kernel,
         "sweep",

@@ -165,7 +165,6 @@ def run_vector(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     require_halt: bool = True,
     inputs: Sequence[dict[Node, Any] | None] | None = None,
-    workers: int | None = None,
     stats: SweepStats | None = None,
 ) -> list[ExecutionResult]:
     """Run one algorithm over a sweep of instances through the NumPy kernel.
@@ -178,9 +177,8 @@ def run_vector(
     :class:`SweepStats` accounting -- both engines run through one batch
     entry point and share the wrapper's configuration table, so a batch costs
     the same transition evaluations on either.  Every instance of the batch,
-    whatever its topology, runs in one flat kernel invocation.  ``workers``
-    is accepted for signature parity and ignored: the kernel is batch-level
-    array code and always runs in-process.
+    whatever its topology, runs in one flat kernel invocation, in this
+    process.
 
     Raises :class:`~repro.engines.registry.EngineUnavailableError` when
     NumPy is not installed.

@@ -32,9 +32,7 @@ from repro.separations.witnesses import all_separations
 _TEST_GRAPHS: tuple[Graph, ...] = (star_graph(3), path_graph(4), cycle_graph(4))
 
 
-def _containment_evidences(
-    workers: int | None = None, engine: str = "sweep"
-) -> list[tuple[ContainmentEvidence, bool]]:
+def _containment_evidences(engine: str = "sweep") -> list[tuple[ContainmentEvidence, bool]]:
     """The three simulation constructions, checked on concrete inputs.
 
     The adversarial sweeps (simulation runs *and* the reference executions
@@ -75,8 +73,7 @@ def _containment_evidences(
         (
             evidence,
             evidence.verify(
-                [multiset_inner], _TEST_GRAPHS, multiset_outputs_valid,
-                workers=workers, engine=engine,
+                [multiset_inner], _TEST_GRAPHS, multiset_outputs_valid, engine=engine
             ),
         )
     )
@@ -106,8 +103,7 @@ def _containment_evidences(
         (
             evidence8,
             evidence8.verify(
-                [vector_inner], _TEST_GRAPHS, vector_outputs_valid,
-                workers=workers, engine=engine,
+                [vector_inner], _TEST_GRAPHS, vector_outputs_valid, engine=engine
             ),
         )
     )
@@ -131,32 +127,29 @@ def _containment_evidences(
         (
             evidence9,
             evidence9.verify(
-                [broadcast_inner], _TEST_GRAPHS, broadcast_outputs_valid,
-                workers=workers, engine=engine,
+                [broadcast_inner], _TEST_GRAPHS, broadcast_outputs_valid, engine=engine
             ),
         )
     )
     return checked
 
 
-def verify_containments(engine: str = "sweep", workers: int | None = None) -> bool:
+def verify_containments(engine: str = "sweep") -> bool:
     """Check the three simulation constructions (execution-bound workload).
 
     Exposed separately so benchmarks can time the adversarial execution
     sweeps under any engine without the (engine-independent) bisimulation
     work of the separation certificates.
     """
-    return all(ok for _, ok in _containment_evidences(workers=workers, engine=engine))
+    return all(ok for _, ok in _containment_evidences(engine=engine))
 
 
-def build_classification(
-    workers: int | None = None, engine: str = "sweep"
-) -> ClassificationReport:
+def build_classification(engine: str = "sweep") -> ClassificationReport:
     """Assemble and verify the full classification."""
     report = ClassificationReport()
-    report.containments.extend(_containment_evidences(workers=workers, engine=engine))
+    report.containments.extend(_containment_evidences(engine=engine))
     for evidence in all_separations():
-        report.separations.append((evidence, evidence.verify(workers=workers, engine=engine)))
+        report.separations.append((evidence, evidence.verify(engine=engine)))
     return report
 
 

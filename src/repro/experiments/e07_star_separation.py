@@ -10,9 +10,9 @@ from repro.problems.verification import solves, worst_case_running_time
 from repro.separations.star import star_separation
 
 
-def run(workers: int | None = None) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Replay the separation; the adversarial sweeps go through the compiled
-    batch engine and can be fanned out over ``workers`` processes."""
+    batch engine, in this process."""
     result = ExperimentResult(
         experiment_id="E7",
         title="Leaf election in stars: in SV(1), not in VB",
@@ -21,8 +21,8 @@ def run(workers: int | None = None) -> ExperimentResult:
     problem = LeafElectionInStars()
     solver = LeafElectionAlgorithm()
     graphs = [star_graph(2), star_graph(3), star_graph(4), path_graph(4)]
-    in_sv = solves(solver, problem, graphs, workers=workers)
-    runtime = worst_case_running_time(solver, graphs, workers=workers)
+    in_sv = solves(solver, problem, graphs)
+    runtime = worst_case_running_time(solver, graphs)
     result.add(
         "membership: Set algorithm solves the problem",
         "Pi in SV(1)",

@@ -12,9 +12,9 @@ from repro.problems.verification import solves, worst_case_running_time
 from repro.separations.odd_odd import odd_odd_separation
 
 
-def run(workers: int | None = None) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Replay the separation; the adversarial sweeps go through the compiled
-    batch engine and can be fanned out over ``workers`` processes."""
+    batch engine, in this process."""
     result = ExperimentResult(
         experiment_id="E8",
         title="Odd number of odd-degree neighbours: in MB(1), not in SB",
@@ -23,8 +23,8 @@ def run(workers: int | None = None) -> ExperimentResult:
     problem = OddOddNeighbours()
     solver = OddOddNeighboursAlgorithm()
     graphs = [path_graph(4), star_graph(3), cycle_graph(5), odd_odd_gadget_pair()[0]]
-    in_mb = solves(solver, problem, graphs, workers=workers)
-    runtime = worst_case_running_time(solver, graphs, workers=workers)
+    in_mb = solves(solver, problem, graphs)
+    runtime = worst_case_running_time(solver, graphs)
     result.add(
         "membership: counting broadcast algorithm solves the problem",
         "Pi in MB(1)",

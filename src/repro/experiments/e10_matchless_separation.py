@@ -19,9 +19,9 @@ from repro.problems.verification import solves, worst_case_running_time
 from repro.separations.matchless import matchless_separation
 
 
-def run(workers: int | None = None) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Replay the separation; the adversarial sweeps go through the compiled
-    batch engine and can be fanned out over ``workers`` processes."""
+    batch engine, in this process."""
     result = ExperimentResult(
         experiment_id="E10",
         title="Symmetry breaking on matchless regular graphs: in VVc(1), not in VV",
@@ -46,10 +46,8 @@ def run(workers: int | None = None) -> ExperimentResult:
     problem = SymmetryBreakingInMatchlessRegular()
     solver = LocalTypeSymmetryBreaking()
     graphs = [graph, cycle_graph(4), path_graph(3)]
-    in_vvc = solves(solver, problem, graphs, consistent_only=True, samples=10, workers=workers)
-    runtime = worst_case_running_time(
-        solver, graphs, consistent_only=True, samples=5, workers=workers
-    )
+    in_vvc = solves(solver, problem, graphs, consistent_only=True, samples=10)
+    runtime = worst_case_running_time(solver, graphs, consistent_only=True, samples=5)
     result.add(
         "membership: the local-type algorithm solves the problem assuming consistency",
         "Pi in VVc(1), two rounds",

@@ -65,13 +65,8 @@ from repro.logic.syntax import (
     formula_pool,
 )
 
-from repro.engines.registry import engine_names, resolve_engine
+from repro.engines.registry import resolve_engine
 from repro.obs import metrics as _metrics
-
-#: Logic-engine backends selectable by wrappers, benchmarks and A/B tests,
-#: in registry order: the compiled bitset engine, the seed reference
-#: oracles, and the packed-uint64 NumPy kernel (:mod:`repro.logic.vector`).
-ENGINES = engine_names(requires={"logic"})
 
 
 def check_engine(engine: str, operation: str = "logic evaluation") -> str:
@@ -569,7 +564,6 @@ def check_many(
     formulas: Iterable[Formula],
     *,
     engine: str = "compiled",
-    workers: int | None = None,
 ) -> list[frozenset[World]]:
     """Extensions of many formulas over one model, in input order.
 
@@ -577,11 +571,8 @@ def check_many(
     cache; ``engine="vector"`` evaluates the whole batch layer by layer as
     packed-uint64 array ops (:mod:`repro.logic.vector`; requires NumPy);
     ``engine="reference"`` uses the seed checker (one shared cache as
-    well), for differential testing and benchmarks.  ``workers`` matches
-    the unified batch signature of
-    :func:`repro.execution.engine.run_many`; the logic engines share
-    per-model caches and always evaluate in-process, so it is accepted and
-    ignored.
+    well), for differential testing and benchmarks.  Every engine evaluates
+    in this process.
     """
     engine = check_engine(engine, "check_many")
     formulas = list(formulas)
@@ -608,7 +599,6 @@ def check_sweep(
     formulas: Sequence[Formula],
     *,
     engine: str = "compiled",
-    workers: int | None = None,
 ) -> list[list[frozenset[World]]]:
     """Extensions of many formulas over many models (one cache per model)."""
     engine = check_engine(engine, "check_sweep")

@@ -40,12 +40,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.execution.adversary import port_numberings_to_check
-from repro.execution.engine import (
-    DEFAULT_MAX_ROUNDS,
-    ExecutionError,
-    logic_engine_for,
-    run_iter,
-)
+from repro.engines.registry import logic_engine_for
+from repro.execution.engine import DEFAULT_MAX_ROUNDS, ExecutionError, run_iter
 from repro.graphs.graph import Graph, Node
 from repro.graphs.ports import PortNumbering
 from repro.logic.engine import check_many

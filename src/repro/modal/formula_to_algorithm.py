@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Any, ClassVar
 
-from repro.engines.registry import engine_names
 from repro.logic.engine import check_engine
 from repro.logic.syntax import (
     KIND_AND,
@@ -618,10 +617,6 @@ class CompiledFormulaAlgorithm(Algorithm):
         return self._wrap(degree, buf)
 
 
-#: Formula-algorithm backends selectable by the engine knob (registry order).
-FORMULA_ENGINES = tuple(engine_names(requires={"logic"}))
-
-
 def algorithm_for_formula(
     formula: Formula, problem_class: ProblemClass, engine: str = "compiled"
 ) -> Algorithm:
@@ -644,7 +639,6 @@ def algorithm_for_formula(
 __all__ = [
     "CompiledFormulaAlgorithm",
     "FormulaAlgorithm",
-    "FORMULA_ENGINES",
     "UNDEFINED",
     "algorithm_for_formula",
 ]

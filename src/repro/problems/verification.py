@@ -6,10 +6,10 @@ is used), the execution halts and its output lies in ``Pi(G)``.  These
 functions check that condition over a supplied, finite collection of graphs --
 exhaustively over port numberings when feasible, by seeded sampling otherwise.
 
-The per-graph sweep over port numberings is executed through the compiled
-batch engine (:func:`repro.execution.engine.run_many`): the graph topology is
-compiled once and shared by every numbering, and the sweep can be fanned out
-over ``workers`` processes for large families.
+The per-graph sweep over port numberings is executed in-process through the
+compiled batch engine (:func:`repro.execution.engine.run_many`), with
+transitions memoized across the sweep: the graph topology is compiled once
+and shared by every numbering.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ def find_counterexample(
     exhaustive_limit: int = 2_000,
     samples: int = 50,
     max_rounds: int = 10_000,
-    workers: int | None = None,
     engine: str = "compiled",
-    memoize_transitions: bool = True,
 ) -> tuple[Graph, PortNumbering, dict[Node, Any] | None] | None:
     """The first input on which the algorithm fails, or ``None`` if none is found.
 
@@ -56,9 +54,8 @@ def find_counterexample(
             [(graph, numbering) for numbering in numberings],
             max_rounds=max_rounds,
             require_halt=False,
-            workers=workers,
             engine=engine,
-            memoize_transitions=memoize_transitions,
+            memoize_transitions=True,
         )
         # run_iter is lazy: the sweep short-circuits at the first failure.
         for numbering, result in zip(numberings, results):
@@ -77,9 +74,7 @@ def solves(
     exhaustive_limit: int = 2_000,
     samples: int = 50,
     max_rounds: int = 10_000,
-    workers: int | None = None,
     engine: str = "compiled",
-    memoize_transitions: bool = True,
 ) -> bool:
     """Whether the algorithm solves the problem on every tested input."""
     return (
@@ -91,9 +86,7 @@ def solves(
             exhaustive_limit=exhaustive_limit,
             samples=samples,
             max_rounds=max_rounds,
-            workers=workers,
             engine=engine,
-            memoize_transitions=memoize_transitions,
         )
         is None
     )
@@ -106,9 +99,7 @@ def worst_case_running_time(
     exhaustive_limit: int = 2_000,
     samples: int = 50,
     max_rounds: int = 10_000,
-    workers: int | None = None,
     engine: str = "compiled",
-    memoize_transitions: bool = True,
 ) -> int:
     """The maximum number of rounds over all tested inputs (for locality checks)."""
     worst = 0
@@ -125,9 +116,8 @@ def worst_case_running_time(
                 )
             ],
             max_rounds=max_rounds,
-            workers=workers,
             engine=engine,
-            memoize_transitions=memoize_transitions,
+            memoize_transitions=True,
         )
         for result in results:
             if result.rounds > worst:

@@ -27,7 +27,6 @@ from repro.engines.registry import (
     resolve_engine,
 )
 from repro.execution.engine import run_iter, run_many
-from repro.execution.sweep import run_sweep
 from repro.graphs import consistent_port_numbering, cycle_graph
 from repro.logic.bisimulation import bisimilarity_partition, bounded_bisimilarity_partition
 from repro.logic.engine import check_many, check_sweep
@@ -138,7 +137,7 @@ def test_unavailable_engine_at_execution_boundary(monkeypatch):
     graph = cycle_graph(4)
     numbering = consistent_port_numbering(graph)
     with pytest.raises(EngineUnavailableError, match="'vector'"):
-        run_sweep(Stamp(), [(graph, numbering)], engine="vector")
+        run_many(Stamp(), [(graph, numbering)], engine="vector")
 
 
 def test_vector_available_when_numpy_installed():
@@ -207,8 +206,19 @@ def test_unknown_engine_rejected_by_execution_entry_points():
         run_many(Stamp(), instance, engine="warp")
     with pytest.raises(UnknownEngineError, match="unknown engine"):
         list(run_iter(Stamp(), instance, engine="warp"))
-    with pytest.raises(UnknownEngineError, match="unknown engine"):
-        run_sweep(Stamp(), instance, engine="warp")
+
+
+def test_run_iter_checks_its_arguments_at_the_call(monkeypatch):
+    # Only the execution is lazy: a bad knob raises before any iteration.
+    graph = cycle_graph(4)
+    instance = [(graph, consistent_port_numbering(graph))]
+    with pytest.raises(UnknownEngineError, match="unknown engine 'warp'"):
+        run_iter(Stamp(), instance, engine="warp")
+    with pytest.raises(ValueError, match="inputs has 2 entries for 1 instances"):
+        run_iter(Stamp(), instance, inputs=[None, None])
+    monkeypatch.setattr(registry, "_NUMPY", None)
+    with pytest.raises(EngineUnavailableError, match="'vector'"):
+        run_iter(Stamp(), instance, engine="vector")
 
 
 def test_unknown_engine_rejected_by_logic_entry_points():

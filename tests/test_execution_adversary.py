@@ -11,8 +11,11 @@ import textwrap
 import weakref
 from pathlib import Path
 
+import pytest
+
 from repro.algorithms.basic import GatherDegreesAlgorithm, PortEchoAlgorithm
 from repro.algorithms.leaf_election import LeafElectionAlgorithm
+from repro.engines import UnknownEngineError, available_engines
 from repro.execution.adversary import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     distinct_outputs,
@@ -22,6 +25,9 @@ from repro.execution.adversary import (
 from repro.execution.engine import compiled_for
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.graphs.ports import count_port_numberings
+from repro.machines.library import reference_machine
+from repro.machines.models import ProblemClass
+from repro.machines.state_machine import algorithm_from_machine
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -169,3 +175,43 @@ class TestOutputsOverNumberings:
         for _numbering, result in outputs_over_port_numberings(LeafElectionAlgorithm(), graph):
             assert result.outputs[0] == 0
             assert sum(result.outputs[leaf] for leaf in (1, 2, 3)) == 1
+
+
+def _two_round_machine():
+    """A VV machine that stops after two rounds (port echo stops after one)."""
+    return algorithm_from_machine(
+        reference_machine(ProblemClass.VV, 3, rounds=2).as_state_machine()
+    )
+
+
+class TestOutputsOverNumberingsPerEngine:
+    """Every sweep-capable engine gives the default engine's outcomes."""
+
+    GRAPHS = {"star": star_graph(3), "cycle": cycle_graph(4)}
+    ALGORITHMS = {"port-echo": PortEchoAlgorithm, "two-round": _two_round_machine}
+
+    @pytest.mark.parametrize("engine", available_engines(requires={"sweep"}))
+    @pytest.mark.parametrize("consistent_only", [False, True], ids=["all", "consistent"])
+    @pytest.mark.parametrize("graph_name", list(GRAPHS))
+    @pytest.mark.parametrize("algorithm_name", list(ALGORITHMS))
+    def test_engine_matches_the_default(
+        self, engine, consistent_only, graph_name, algorithm_name
+    ):
+        graph = self.GRAPHS[graph_name]
+        make = self.ALGORITHMS[algorithm_name]
+        expected = outputs_over_port_numberings(make(), graph, consistent_only=consistent_only)
+        outcomes = outputs_over_port_numberings(
+            make(), graph, consistent_only=consistent_only, engine=engine
+        )
+        assert len(outcomes) == len(expected) > 1
+        assert all(
+            outcome.numbering is reference.numbering
+            for outcome, reference in zip(outcomes, expected)
+        )
+        assert [
+            (o.result.outputs, o.result.rounds, o.result.halted) for o in outcomes
+        ] == [(o.result.outputs, o.result.rounds, o.result.halted) for o in expected]
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(UnknownEngineError, match="unknown engine 'warp'"):
+            outputs_over_port_numberings(PortEchoAlgorithm(), star_graph(3), engine="warp")

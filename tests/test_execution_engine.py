@@ -298,14 +298,6 @@ class TestRunMany:
         for a, b in zip(compiled, reference):
             assert a.outputs == b.outputs and a.rounds == b.rounds
 
-    def test_parallel_workers_match_sequential(self):
-        algorithm = RoundCounterAlgorithm(3)  # module-level, picklable
-        instances = [random_regular_graph(3, 10, seed=s) for s in (1, 2, 3, 4)]
-        sequential = run_many(algorithm, instances)
-        parallel = run_many(algorithm, instances, workers=2)
-        assert [r.outputs for r in parallel] == [r.outputs for r in sequential]
-        assert [r.rounds for r in parallel] == [r.rounds for r in sequential]
-
     @pytest.mark.parametrize("engine", ["compiled", "reference"])
     def test_memoized_batch_matches_unmemoized(self, engine):
         # Across all six algorithm models, transition/send/projection

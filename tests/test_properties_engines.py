@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engines import available_engines
 from repro.execution.engine import run_many
 from repro.execution.sweep import SweepStats, run_sweep
+from repro.execution.vector import run_vector
 from repro.graphs.generators import (
     cycle_graph,
     path_graph,
@@ -34,8 +35,10 @@ from repro.machines.state_machine import algorithm_from_machine
 
 from test_sweep_engine import SEVEN_CLASSES, assert_identical
 
-#: The batched engines, which account their work in ``SweepStats``.
-BATCHED = ["sweep"] + (["vector"] if "vector" in available_engines() else [])
+#: The batched engines, which account their work in ``SweepStats``, by entry point.
+BATCHED = {"sweep": run_sweep}
+if "vector" in available_engines():
+    BATCHED["vector"] = run_vector
 
 
 @st.composite
@@ -103,13 +106,13 @@ def test_engines_agree_on_results_and_work(batch):
     assert_identical(compiled, expected)
 
     work = {}
-    for engine in BATCHED:
+    for engine, runner in BATCHED.items():
         wrapper = fast_path(algorithm(), memoize_transitions=True)
         stats = SweepStats()
         results = [
             result
             for part in (first, second)
-            for result in run_sweep(wrapper, part, engine=engine, stats=stats, **options)
+            for result in runner(wrapper, part, stats=stats, **options)
         ]
         assert_identical(results, expected)
         work[engine] = stats.to_dict()

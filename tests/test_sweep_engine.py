@@ -361,17 +361,17 @@ class TestBatchShapes:
         with pytest.raises(ValueError, match="entries for"):
             run_sweep(make_probe(MODEL_BASES["VV"]), [graph], inputs=[None, None])
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            run_sweep(make_probe(MODEL_BASES["VV"]), [cycle_graph(3)], engine="quantum")
-
     def test_compiled_and_reference_oracles_via_engine_knob(self):
         graph = star_graph(3)
         algorithm = make_probe(MODEL_BASES["MB"])
         instances = [(graph, p) for p in adversarial_numberings(graph, cap=8, samples=4)]
         swept = run_sweep(algorithm, instances)
-        via_compiled = run_sweep(algorithm, instances, engine="compiled")
-        via_reference = run_sweep(algorithm, instances, engine="reference")
+        via_compiled = run_many(
+            algorithm, instances, engine="compiled", memoize_transitions=True
+        )
+        via_reference = run_many(
+            algorithm, instances, engine="reference", memoize_transitions=True
+        )
         assert_identical(swept, via_compiled)
         assert_identical(swept, via_reference)
 
@@ -413,7 +413,12 @@ class TestSweepTables:
         assert sweep_tables_for(fast).rebuild_rows[shape_key] is row_table
         assert_identical(
             swept,
-            run_sweep(make_probe(MODEL_BASES[class_name]), instances, engine="compiled"),
+            run_many(
+                make_probe(MODEL_BASES[class_name]),
+                instances,
+                engine="compiled",
+                memoize_transitions=True,
+            ),
         )
 
     def test_fresh_interpreter_reproduces_results_and_stats(self):

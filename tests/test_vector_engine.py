@@ -221,17 +221,6 @@ class TestNativeProbes:
 
 
 class TestDispatch:
-    def test_run_sweep_vector_engine_knob(self):
-        graph = star_graph(3)
-        algorithm = make_probe(MODEL_BASES["MB"])
-        instances = [
-            (graph, p) for p in adversarial_numberings(graph, cap=8, samples=4)
-        ]
-        assert_identical(
-            run_sweep(algorithm, instances, engine="vector"),
-            run_sweep(algorithm, instances),
-        )
-
     def test_run_iter_and_run_many_vector_engine_knob(self):
         graph = cycle_graph(5)
         algorithm = make_probe(MODEL_BASES["SB"])
