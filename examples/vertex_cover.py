@@ -58,7 +58,7 @@ def main() -> None:
         evaluate(f"random (14 nodes, deg<=3) #{seed}", random_bounded_degree_graph(14, 3, seed=seed))
     print("\nThe paper's MB(1) algorithm of [3] guarantees ratio 2; the simpler")
     print("construction used here stays close to 2 on these inputs and never")
-    print("exceeds 3 (see experiment E11 / benchmarks/bench_vertex_cover.py).")
+    print("exceeds 3 (see experiment E11).")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ These re-express the sweep-shaped experiments as declarative specs:
   kind, fast enough for a run -> resume -> report pipeline on every PR.
 
 Each entry is a zero-argument factory so callers always get a fresh spec
-they may mutate (e.g. the benchmarks scale the axes down).
+they may mutate (e.g. scale the axes down).
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.execution.adversary import port_numberings_to_check
-from repro.engines.registry import logic_engine_for
 from repro.execution.engine import run_iter
 from repro.execution.runner import run
 from repro.graphs.graph import Graph, Node
@@ -56,7 +55,6 @@ class ContainmentEvidence:
         outputs_valid: Callable[[Graph, PortNumbering, dict[Node, Any]], bool],
         exhaustive_limit: int = 200,
         samples: int = 10,
-        engine: str = "sweep",
     ) -> bool:
         """Check that the simulation preserves solution validity on the inputs.
 
@@ -66,10 +64,8 @@ class ContainmentEvidence:
         (or under any numbering sharing its output-port assignment, which is
         the guarantee Theorem 8 actually gives).
 
-        The adversarial sweep runs superposed through the sweep engine by
-        default (``engine`` selects the per-instance compiled loop or the
-        seed runner as oracles); a simulation that fails to halt counts as a
-        failed verification.
+        The adversarial sweep runs superposed through the sweep engine; a
+        simulation that fails to halt counts as a failed verification.
         """
         for algorithm in algorithms:
             simulated = self.simulate(algorithm)
@@ -83,14 +79,12 @@ class ContainmentEvidence:
                     simulated,
                     [(graph, numbering) for numbering in numberings],
                     require_halt=False,
-                    engine=engine,
+                    engine="sweep",
                     memoize_transitions=True,
                 )
-                # Stop at the first invalid simulation run.  (The compiled
-                # and reference engines stream lazily, so the early return
-                # also skips executing the rest; the superposed sweep engine
-                # materializes the whole sweep up front and only the
-                # comparison work is skipped.)
+                # Stop at the first invalid simulation run.  (The superposed
+                # sweep engine materializes the whole sweep up front, so only
+                # the comparison work is skipped.)
                 for numbering, result in zip(numberings, results):
                     if not result.halted or not outputs_valid(graph, numbering, result.outputs):
                         return False
@@ -135,17 +129,15 @@ class SeparationEvidence:
     is_valid_solution: Callable[[Graph, dict[Node, Any]], bool]
     numbering: PortNumbering | None = None
 
-    def witness_bisimilar(self, logic_engine: str = "compiled") -> bool:
+    def witness_bisimilar(self) -> bool:
         """Corollary 3's hypothesis: the witness nodes are bisimilar in the weak encoding.
 
-        ``logic_engine`` selects the partition-refinement backend
-        (``"compiled"`` bitset engine or the ``"reference"`` seed loop),
-        mirroring the execution-side ``engine`` knob.
+        Checked by the compiled partition refinement.
         """
         model = kripke_encoding(
             self.witness_graph, self.numbering, variant=variant_for_class(self.smaller)
         )
-        return bisimilar_within(model, self.witness_nodes, engine=logic_engine)
+        return bisimilar_within(model, self.witness_nodes)
 
     def solutions_must_distinguish(self) -> bool:
         """Corollary 3's other hypothesis, checked via the validity predicate.
@@ -169,7 +161,6 @@ class SeparationEvidence:
         graphs: Sequence[Graph],
         exhaustive_limit: int = 200,
         samples: int = 10,
-        engine: str = "sweep",
     ) -> bool:
         """Membership in the larger class: the solver is valid on all inputs."""
         for graph in graphs:
@@ -185,7 +176,7 @@ class SeparationEvidence:
                     )
                 ],
                 require_halt=False,
-                engine=engine,
+                engine="sweep",
                 memoize_transitions=True,
             )
             for result in results:
@@ -193,25 +184,13 @@ class SeparationEvidence:
                     return False
         return True
 
-    def verify(
-        self,
-        graphs: Sequence[Graph] | None = None,
-        engine: str = "sweep",
-    ) -> bool:
-        """Replay the whole separation argument.
-
-        ``engine`` selects both the execution runner and the logic backend,
-        so the full argument can be A/B-checked against the seed
-        implementations.  The logic layer has no superposed mode, so the
-        execution engines ``"sweep"`` and ``"compiled"`` both pair with the
-        compiled partition refinement.
-        """
+    def verify(self, graphs: Sequence[Graph] | None = None) -> bool:
+        """Replay the whole separation argument."""
         test_graphs = list(graphs) if graphs is not None else [self.witness_graph]
-        logic_engine = logic_engine_for(engine)
         return (
-            self.witness_bisimilar(logic_engine=logic_engine)
+            self.witness_bisimilar()
             and self.solutions_must_distinguish()
-            and self.solver_succeeds(test_graphs, engine=engine)
+            and self.solver_succeeds(test_graphs)
         )
 
 

@@ -623,10 +623,9 @@ def run_many(
         per round over the whole batch; requires NumPy) -- for both batch
         engines ``record_trace`` falls back to the compiled loop;
         ``"reference"`` dispatches every instance to the seed reference
-        runner -- useful for differential testing and speedup benchmarks on
-        identical workloads.  The knob resolves through
-        :func:`repro.engines.resolve_engine`, which raises the shared
-        unknown-engine/capability/availability errors.
+        runner -- the differential oracle on identical workloads.  The knob
+        resolves through :func:`repro.engines.resolve_engine`, which raises
+        the shared unknown-engine/capability/availability errors.
     memoize_transitions:
         Additionally memoize ``initial_state`` and ``transition`` across the
         whole batch (see :class:`~repro.machines.fastpath.FastPathAlgorithm`).

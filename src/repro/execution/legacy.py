@@ -5,13 +5,10 @@ with the seed of this reproduction: every round it re-derives the port
 topology through ``numbering.inverse``, rebuilds ``(node, port)``-keyed
 message dictionaries and rescans all nodes for stopping states.  The compiled
 engine (:mod:`repro.execution.engine`) replaces it on the hot path, but the
-reference loop stays for two jobs:
-
-* **differential testing** -- the engine must be node-for-node identical to
-  this loop on every model and every input (see
-  ``tests/test_execution_engine.py``), and
-* **speedup benchmarking** -- ``benchmarks/run_all.py`` records the
-  engine-vs-reference ratio on identical workloads in every ``BENCH_*.json``.
+reference loop stays as the differential oracle: the engines must be
+node-for-node identical to this loop on every model and every input (see
+``tests/test_execution_engine.py``), and E5 checks the Theorem 4 simulation
+against it (``run_iter(..., engine="reference")``).
 
 Do not optimize this module; its value is being the fixed baseline.
 """

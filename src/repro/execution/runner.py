@@ -13,7 +13,7 @@ identical inputs.
 :mod:`repro.execution.engine`: it compiles ``(graph, numbering)`` into flat
 index arrays and executes the active-set round loop.  The original
 dictionary-based loop survives as :func:`repro.execution.legacy.run_reference`
-for differential tests and speedup benchmarks; batch workloads should use
+for differential tests; batch workloads should use
 :func:`repro.execution.engine.run_many` directly.
 """
 

@@ -21,7 +21,6 @@ from repro.core.simulations import (
     simulate_vector_with_multiset,
 )
 from repro.execution.engine import compiled_for, execute
-from repro.execution.legacy import run_reference
 from repro.machines.fastpath import fast_path
 from repro.experiments.report import ExperimentResult
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
@@ -32,25 +31,23 @@ from repro.separations.witnesses import all_separations
 _TEST_GRAPHS: tuple[Graph, ...] = (star_graph(3), path_graph(4), cycle_graph(4))
 
 
-def _containment_evidences(engine: str = "sweep") -> list[tuple[ContainmentEvidence, bool]]:
+def _inner_runner(algorithm):
+    """Run ``algorithm`` on one instance, for the validity predicates.
+
+    One memoizing fast-path wrapper per inner algorithm, so its runs share
+    projection and transition caches across the whole adversarial sweep.
+    """
+    fast = fast_path(algorithm, memoize_transitions=True)
+    return lambda graph, numbering: execute(fast, compiled_for(graph, numbering))
+
+
+def _containment_evidences() -> list[tuple[ContainmentEvidence, bool]]:
     """The three simulation constructions, checked on concrete inputs.
 
-    The adversarial sweeps (simulation runs *and* the reference executions
-    the validity predicates compare against) go through the selected engine
-    -- superposed by default -- so benchmarks can time the sweep, compiled
-    and seed runners on the identical workload.
+    The simulated algorithms run superposed through the sweep engine; the
+    validity predicates compare against the inner algorithm's own run on
+    the compiled engine.
     """
-    if engine != "reference":
-        # One memoizing fast-path wrapper per inner algorithm: the reference
-        # executions the validity predicates need share projection and
-        # transition caches across the whole adversarial sweep.
-        def reference_runner(algorithm):
-            fast = fast_path(algorithm, memoize_transitions=True)
-            return lambda graph, numbering: execute(fast, compiled_for(graph, numbering))
-    else:
-        def reference_runner(algorithm):
-            return lambda graph, numbering: run_reference(algorithm, graph, numbering)
-
     checked: list[tuple[ContainmentEvidence, bool]] = []
 
     # Theorem 4: MV ⊆ SV.  A Multiset algorithm's output is numbering-invariant
@@ -63,7 +60,7 @@ def _containment_evidences(engine: str = "sweep") -> list[tuple[ContainmentEvide
         simulate=lambda alg: simulate_multiset_with_set(alg, delta=3),
     )
 
-    run_multiset_inner = reference_runner(multiset_inner)
+    run_multiset_inner = _inner_runner(multiset_inner)
 
     def multiset_outputs_valid(graph: Graph, numbering, outputs: dict) -> bool:
         reference = run_multiset_inner(graph, numbering).outputs
@@ -72,9 +69,7 @@ def _containment_evidences(engine: str = "sweep") -> list[tuple[ContainmentEvide
     checked.append(
         (
             evidence,
-            evidence.verify(
-                [multiset_inner], _TEST_GRAPHS, multiset_outputs_valid, engine=engine
-            ),
+            evidence.verify([multiset_inner], _TEST_GRAPHS, multiset_outputs_valid),
         )
     )
 
@@ -102,9 +97,7 @@ def _containment_evidences(engine: str = "sweep") -> list[tuple[ContainmentEvide
     checked.append(
         (
             evidence8,
-            evidence8.verify(
-                [vector_inner], _TEST_GRAPHS, vector_outputs_valid, engine=engine
-            ),
+            evidence8.verify([vector_inner], _TEST_GRAPHS, vector_outputs_valid),
         )
     )
 
@@ -117,7 +110,7 @@ def _containment_evidences(engine: str = "sweep") -> list[tuple[ContainmentEvide
         simulate=simulate_broadcast_with_multiset_broadcast,
     )
 
-    run_broadcast_inner = reference_runner(broadcast_inner)
+    run_broadcast_inner = _inner_runner(broadcast_inner)
 
     def broadcast_outputs_valid(graph: Graph, numbering, outputs: dict) -> bool:
         reference = run_broadcast_inner(graph, numbering).outputs
@@ -126,30 +119,18 @@ def _containment_evidences(engine: str = "sweep") -> list[tuple[ContainmentEvide
     checked.append(
         (
             evidence9,
-            evidence9.verify(
-                [broadcast_inner], _TEST_GRAPHS, broadcast_outputs_valid, engine=engine
-            ),
+            evidence9.verify([broadcast_inner], _TEST_GRAPHS, broadcast_outputs_valid),
         )
     )
     return checked
 
 
-def verify_containments(engine: str = "sweep") -> bool:
-    """Check the three simulation constructions (execution-bound workload).
-
-    Exposed separately so benchmarks can time the adversarial execution
-    sweeps under any engine without the (engine-independent) bisimulation
-    work of the separation certificates.
-    """
-    return all(ok for _, ok in _containment_evidences(engine=engine))
-
-
-def build_classification(engine: str = "sweep") -> ClassificationReport:
+def build_classification() -> ClassificationReport:
     """Assemble and verify the full classification."""
     report = ClassificationReport()
-    report.containments.extend(_containment_evidences(engine=engine))
+    report.containments.extend(_containment_evidences())
     for evidence in all_separations():
-        report.separations.append((evidence, evidence.verify(engine=engine)))
+        report.separations.append((evidence, evidence.verify()))
     return report
 
 

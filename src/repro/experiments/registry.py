@@ -1,9 +1,9 @@
 """The experiment registry: one entry per reproduced paper artefact.
 
 ``run_experiment(experiment_id)`` executes a single experiment and
-``run_all_experiments()`` regenerates every paper-vs-measured table; the
-benchmark harness under ``benchmarks/`` wraps the same entry points with
-timing.
+``run_all_experiments()`` regenerates every paper-vs-measured table (the
+wall-clock ledger's ``reproduction`` workload times the same run through
+``python -m repro.experiments``).
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 Every experiment regenerates one artefact of the paper (a figure, a theorem or
 a lemma) and reports *paper claim vs. measured outcome* rows.  The rows are
-consumed by the benchmark harness and by ``examples/hierarchy_survey.py``, and
-EXPERIMENTS.md is written from the same data.
+consumed by ``python -m repro.experiments`` and by
+``examples/hierarchy_survey.py``, and EXPERIMENTS.md is written from the same
+data.
 """
 
 from __future__ import annotations

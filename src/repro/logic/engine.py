@@ -571,7 +571,7 @@ def check_many(
     cache; ``engine="vector"`` evaluates the whole batch layer by layer as
     packed-uint64 array ops (:mod:`repro.logic.vector`; requires NumPy);
     ``engine="reference"`` uses the seed checker (one shared cache as
-    well), for differential testing and benchmarks.  Every engine evaluates
+    well), for differential testing.  Every engine evaluates
     in this process.
     """
     engine = check_engine(engine, "check_many")

@@ -6,7 +6,7 @@ wrappers over the compiled bitset engine (:mod:`repro.logic.engine`); the
 original seed checker is preserved as :func:`reference_extension` and serves
 as the differential-testing oracle (mirroring
 :mod:`repro.execution.legacy` on the execution side).  Every wrapper takes an
-``engine="compiled" | "reference"`` knob for A/B tests and benchmarks.
+``engine="compiled" | "reference"`` knob for differential tests.
 
 The reference checker computes the *extension* ``||phi||_K`` of a formula
 (the set of worlds where it holds) bottom-up over subformulas, memoising

@@ -179,6 +179,12 @@ class Formula:
     def __rshift__(self, other: "Formula") -> "Formula":
         return Implies(self, other)
 
+    def __str__(self) -> str:
+        return _summary(self) or _render(self, _STR_PIECES)
+
+    def __repr__(self) -> str:
+        return _summary(self) or _render(self, _REPR_PIECES)
+
 
 class Prop(Formula):
     """A proposition symbol ``q``."""
@@ -189,12 +195,6 @@ class Prop(Formula):
         return _POOL._register(  # type: ignore[return-value]
             cls, (KIND_PROP, (), name), KIND_PROP, (), (name,), (("name", name),)
         )
-
-    def __repr__(self) -> str:
-        return f"Prop(name={self.name!r})"
-
-    def __str__(self) -> str:
-        return str(self.name)
 
     def __reduce__(self):
         return (Prop, (self.name,))
@@ -208,12 +208,6 @@ class Top(Formula):
     def __new__(cls) -> "Top":
         return _POOL._register(cls, (KIND_TOP,), KIND_TOP, (), (), ())  # type: ignore
 
-    def __repr__(self) -> str:
-        return "Top()"
-
-    def __str__(self) -> str:
-        return "true"
-
     def __reduce__(self):
         return (Top, ())
 
@@ -225,12 +219,6 @@ class Bottom(Formula):
 
     def __new__(cls) -> "Bottom":
         return _POOL._register(cls, (KIND_BOTTOM,), KIND_BOTTOM, (), (), ())  # type: ignore
-
-    def __repr__(self) -> str:
-        return "Bottom()"
-
-    def __str__(self) -> str:
-        return "false"
 
     def __reduce__(self):
         return (Bottom, ())
@@ -247,12 +235,6 @@ class Not(Formula):
             (), (("operand", operand),)
         )
 
-    def __repr__(self) -> str:
-        return f"Not(operand={self.operand!r})"
-
-    def __str__(self) -> str:
-        return f"~{self.operand}"
-
     def __reduce__(self):
         return (Not, (self.operand,))
 
@@ -262,7 +244,6 @@ class _Binary(Formula):
 
     __slots__ = ("left", "right")
     _kind: int = -1
-    _symbol: str = "?"
 
     def __new__(cls, left: Formula, right: Formula) -> "_Binary":
         return _POOL._register(  # type: ignore[return-value]
@@ -274,12 +255,6 @@ class _Binary(Formula):
             (("left", left), ("right", right)),
         )
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(left={self.left!r}, right={self.right!r})"
-
-    def __str__(self) -> str:
-        return f"({self.left} {self._symbol} {self.right})"
-
     def __reduce__(self):
         return (type(self), (self.left, self.right))
 
@@ -289,7 +264,6 @@ class And(_Binary):
 
     __slots__ = ()
     _kind = KIND_AND
-    _symbol = "&"
 
 
 class Or(_Binary):
@@ -297,7 +271,6 @@ class Or(_Binary):
 
     __slots__ = ()
     _kind = KIND_OR
-    _symbol = "|"
 
 
 class Implies(_Binary):
@@ -305,7 +278,6 @@ class Implies(_Binary):
 
     __slots__ = ()
     _kind = KIND_IMPLIES
-    _symbol = "->"
 
 
 class Diamond(Formula):
@@ -318,13 +290,6 @@ class Diamond(Formula):
             cls, (KIND_DIAMOND, (operand.node_id,), index), KIND_DIAMOND,
             (operand.node_id,), (index,), (("operand", operand), ("index", index))
         )
-
-    def __repr__(self) -> str:
-        return f"Diamond(operand={self.operand!r}, index={self.index!r})"
-
-    def __str__(self) -> str:
-        label = "" if self.index is None else _index_str(self.index)
-        return f"<{label}>{self.operand}"
 
     def __reduce__(self):
         return (Diamond, (self.operand, self.index))
@@ -340,13 +305,6 @@ class Box(Formula):
             cls, (KIND_BOX, (operand.node_id,), index), KIND_BOX,
             (operand.node_id,), (index,), (("operand", operand), ("index", index))
         )
-
-    def __repr__(self) -> str:
-        return f"Box(operand={self.operand!r}, index={self.index!r})"
-
-    def __str__(self) -> str:
-        label = "" if self.index is None else _index_str(self.index)
-        return f"[{label}]{self.operand}"
 
     def __reduce__(self):
         return (Box, (self.operand, self.index))
@@ -368,24 +326,97 @@ class GradedDiamond(Formula):
             (("operand", operand), ("grade", grade), ("index", index))
         )
 
-    def __repr__(self) -> str:
-        return (
-            f"GradedDiamond(operand={self.operand!r}, grade={self.grade!r}, "
-            f"index={self.index!r})"
-        )
-
-    def __str__(self) -> str:
-        label = "" if self.index is None else _index_str(self.index)
-        return f"<{label}>>={self.grade} {self.operand}"
-
     def __reduce__(self):
         return (GradedDiamond, (self.operand, self.grade, self.index))
 
 
-def _index_str(index: Any) -> str:
+# ---------------------------------------------------------------------- #
+# Printing (explicit stacks: the Table 4/5 formulas nest far deeper than
+# Python's recursion limit)
+# ---------------------------------------------------------------------- #
+
+#: Formulas whose expanded tree has more nodes than this print as a one-line
+#: summary instead of in full (a two-round Table 4/5 formula can expand to
+#: hundreds of millions of nodes).
+PRINT_TREE_LIMIT = 1_000_000
+
+
+def _summary(formula: Formula) -> str | None:
+    """The one-line summary of a formula too large to print, else ``None``."""
+    node_id = formula.node_id
+    tree = _POOL.tree_sizes[node_id]
+    if tree <= PRINT_TREE_LIMIT:
+        return None
+    return (
+        f"<{type(formula).__name__}: dag_size={_POOL.dag_size(node_id)}, "
+        f"tree_size={tree}, modal_depth={_POOL.modal_depths[node_id]}>"
+    )
+
+
+def _label(index: Any) -> str:
+    if index is None:
+        return ""
     if isinstance(index, tuple):
         return ",".join(str(part) for part in index)
     return str(index)
+
+
+def _binary_str(symbol: str):
+    return lambda f: ("(", f.left, f" {symbol} ", f.right, ")")
+
+
+def _binary_repr(f: Formula) -> tuple:
+    return (f"{type(f).__name__}(left=", f.left, ", right=", f.right, ")")
+
+
+def _modal_repr(f: Formula) -> tuple:
+    return (f"{type(f).__name__}(operand=", f.operand, f", index={f.index!r})")
+
+
+#: Per node kind, the pieces of its printed text: strings, and subformulas
+#: to print in their place.  ``str`` is infix (``(p & <1,*>>=2 ~q)``),
+#: ``repr`` constructor syntax (``Not(operand=Prop(name='q'))``).
+_STR_PIECES = {
+    KIND_PROP: lambda f: (str(f.name),),
+    KIND_TOP: lambda f: ("true",),
+    KIND_BOTTOM: lambda f: ("false",),
+    KIND_NOT: lambda f: ("~", f.operand),
+    KIND_AND: _binary_str("&"),
+    KIND_OR: _binary_str("|"),
+    KIND_IMPLIES: _binary_str("->"),
+    KIND_DIAMOND: lambda f: (f"<{_label(f.index)}>", f.operand),
+    KIND_BOX: lambda f: (f"[{_label(f.index)}]", f.operand),
+    KIND_GRADED: lambda f: (f"<{_label(f.index)}>>={f.grade} ", f.operand),
+}
+_REPR_PIECES = {
+    KIND_PROP: lambda f: (f"Prop(name={f.name!r})",),
+    KIND_TOP: lambda f: ("Top()",),
+    KIND_BOTTOM: lambda f: ("Bottom()",),
+    KIND_NOT: lambda f: ("Not(operand=", f.operand, ")"),
+    KIND_AND: _binary_repr,
+    KIND_OR: _binary_repr,
+    KIND_IMPLIES: _binary_repr,
+    KIND_DIAMOND: _modal_repr,
+    KIND_BOX: _modal_repr,
+    KIND_GRADED: lambda f: (
+        "GradedDiamond(operand=", f.operand, f", grade={f.grade!r}, index={f.index!r})"
+    ),
+}
+
+
+def _render(formula: Formula, pieces: dict) -> str:
+    """Print ``formula`` with an explicit stack, so the work is linear in the
+    printed tree and no depth overflows the recursion limit."""
+    kinds = _POOL.kinds
+    out: list[str] = []
+    stack: list[Any] = [formula]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack.extend(reversed(pieces[kinds[item.node_id]](item)))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------- #

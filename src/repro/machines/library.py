@@ -2,8 +2,8 @@
 
 The correspondence pipeline (:mod:`repro.modal`) needs concrete
 :class:`~repro.machines.state_machine.FiniteStateMachine` instances for every
-problem class: the campaign ``correspondence`` workload, experiment E4, the
-benchmarks and the randomized round-trip property tests all draw from here.
+problem class: the campaign ``correspondence`` workload, experiment E4 and
+the randomized round-trip property tests all draw from here.
 
 Every machine in this module is *delta-parametric* (built for the ``Delta``
 of the graph family it will run on) and its transition function factors

@@ -6,10 +6,11 @@ is used), the execution halts and its output lies in ``Pi(G)``.  These
 functions check that condition over a supplied, finite collection of graphs --
 exhaustively over port numberings when feasible, by seeded sampling otherwise.
 
-The per-graph sweep over port numberings is executed in-process through the
-compiled batch engine (:func:`repro.execution.engine.run_many`), with
-transitions memoized across the sweep: the graph topology is compiled once
-and shared by every numbering.
+The per-graph sweep over port numberings runs in-process on the compiled
+batch engine (:func:`repro.execution.engine.run_iter`), with transitions
+memoized across the sweep: the graph topology is compiled once and shared by
+every numbering, and the engine streams lazily, so a check stops executing at
+the first counterexample.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ def find_counterexample(
     exhaustive_limit: int = 2_000,
     samples: int = 50,
     max_rounds: int = 10_000,
-    engine: str = "compiled",
 ) -> tuple[Graph, PortNumbering, dict[Node, Any] | None] | None:
     """The first input on which the algorithm fails, or ``None`` if none is found.
 
@@ -54,7 +54,6 @@ def find_counterexample(
             [(graph, numbering) for numbering in numberings],
             max_rounds=max_rounds,
             require_halt=False,
-            engine=engine,
             memoize_transitions=True,
         )
         # run_iter is lazy: the sweep short-circuits at the first failure.
@@ -74,7 +73,6 @@ def solves(
     exhaustive_limit: int = 2_000,
     samples: int = 50,
     max_rounds: int = 10_000,
-    engine: str = "compiled",
 ) -> bool:
     """Whether the algorithm solves the problem on every tested input."""
     return (
@@ -86,7 +84,6 @@ def solves(
             exhaustive_limit=exhaustive_limit,
             samples=samples,
             max_rounds=max_rounds,
-            engine=engine,
         )
         is None
     )
@@ -99,7 +96,6 @@ def worst_case_running_time(
     exhaustive_limit: int = 2_000,
     samples: int = 50,
     max_rounds: int = 10_000,
-    engine: str = "compiled",
 ) -> int:
     """The maximum number of rounds over all tested inputs (for locality checks)."""
     worst = 0
@@ -116,7 +112,6 @@ def worst_case_running_time(
                 )
             ],
             max_rounds=max_rounds,
-            engine=engine,
             memoize_transitions=True,
         )
         for result in results:

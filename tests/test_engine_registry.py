@@ -24,6 +24,7 @@ from repro.engines.registry import (
     available_engines,
     engine_names,
     logic_engine_for,
+    numpy_or_none,
     resolve_engine,
 )
 from repro.execution.engine import run_iter, run_many
@@ -78,7 +79,12 @@ def test_engine_names_filters_by_capability():
 
 def test_capability_vocabulary_covers_every_spec():
     for name in engine_names():
-        assert resolve_engine(name).capabilities <= CAPABILITIES
+        assert registry._REGISTRY[name].capabilities <= CAPABILITIES
+    for name in available_engines():
+        assert resolve_engine(name) is registry._REGISTRY[name]
+    if numpy_or_none() is None:
+        with pytest.raises(EngineUnavailableError):
+            resolve_engine("vector")
 
 
 def test_resolve_engine_returns_spec():
@@ -90,10 +96,14 @@ def test_resolve_engine_returns_spec():
 
 
 def test_logic_engine_for_pairing():
-    assert logic_engine_for("sweep") == "compiled"
-    assert logic_engine_for("compiled") == "compiled"
-    assert logic_engine_for("reference") == "reference"
-    assert logic_engine_for("vector") == "vector"
+    pairing = {"sweep": "compiled", "compiled": "compiled", "reference": "reference",
+               "vector": "vector"}
+    assert {name: registry._REGISTRY[name].logic_backend for name in engine_names()} == pairing
+    for name in available_engines():
+        assert logic_engine_for(name) == pairing[name]
+    if numpy_or_none() is None:
+        with pytest.raises(EngineUnavailableError):
+            logic_engine_for("vector")
 
 
 def test_unknown_engine_error_is_value_error():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.logic import syntax
 from repro.logic.syntax import (
     And,
     Bottom,
@@ -24,6 +27,9 @@ from repro.logic.syntax import (
     propositions,
     subformulas,
 )
+from repro.machines.library import reference_machine
+from repro.machines.models import ProblemClass
+from repro.modal.algorithm_to_formula import formula_for_machine
 
 
 class TestConstruction:
@@ -119,3 +125,30 @@ class TestPrinting:
         assert str(GradedDiamond(Prop("p"), 2, index=("*", "*"))) == "<*,*>>=2 p"
         assert str(Box(Prop("p"))) == "[]p"
         assert str(And(Prop("p"), Prop("q"))) == "(p & q)"
+
+    def test_constructor_reprs(self):
+        assert repr(Not(Prop("q"))) == "Not(operand=Prop(name='q'))"
+        assert repr(Implies(Bottom(), Box(Prop(3)))) == (
+            "Implies(left=Bottom(), right=Box(operand=Prop(name=3), index=None))"
+        )
+        assert repr(GradedDiamond(Top(), 2, index=(1, "*"))) == (
+            "GradedDiamond(operand=Top(), grade=2, index=(1, '*'))"
+        )
+
+    def test_deep_table_formula_prints_in_full(self):
+        """The one-round VV formula at Delta=3 (tree 17,990) nests deeper than
+        the default recursion limit; printing it must not recurse.  The pins
+        are the output of the recursive printers under a raised limit."""
+        formula = formula_for_machine(reference_machine(ProblemClass.VV, 3), ProblemClass.VV, 1)
+
+        def fingerprint(text):
+            return len(text), hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        assert fingerprint(str(formula)) == (72_146, "89ae1cc9a1c27877")
+        assert fingerprint(repr(formula)) == (314_001, "4b6907761943723a")
+
+    def test_formula_over_the_limit_prints_a_summary(self, monkeypatch):
+        phi = And(Diamond(Prop("p"), index=(1, 1)), Not(Prop("p")))
+        monkeypatch.setattr(syntax, "PRINT_TREE_LIMIT", 4)
+        assert str(phi) == repr(phi) == "<And: dag_size=4, tree_size=5, modal_depth=1>"
+        assert str(Not(Prop("p"))) == "~p"

@@ -11,6 +11,7 @@ node budget (:class:`FormulaSizeError`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import subprocess
@@ -20,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engines import available_engines
 from repro.execution.engine import ExecutionError
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.logic.syntax import (
@@ -55,17 +57,28 @@ DELTA3_GRAPHS = (star_graph(3), path_graph(4))
 DELTA2_GRAPHS = (path_graph(3), cycle_graph(4))
 
 
-@pytest.mark.parametrize("problem_class", ALL_CLASSES, ids=str)
-def test_reference_machine_roundtrip(problem_class):
-    report = machine_roundtrip_report(
+@functools.lru_cache(maxsize=None)
+def _reference_roundtrip(problem_class, engine=None):
+    """The library machine's round trip on ``engine`` (``None``: the default)."""
+    options = {} if engine is None else {"engine": engine}
+    return machine_roundtrip_report(
         reference_machine(problem_class, delta=3),
         problem_class,
         running_time=1,
         graphs=DELTA3_GRAPHS,
+        **options,
     )
+
+
+@pytest.mark.parametrize("engine", available_engines(requires={"sweep"}))
+@pytest.mark.parametrize("problem_class", ALL_CLASSES, ids=str)
+def test_reference_machine_roundtrip(problem_class, engine):
+    report = _reference_roundtrip(problem_class, engine)
     assert report.agree, report.first_disagreement
-    assert report.oracle_checked
-    assert report.instances > 0
+    assert report.instances == _reference_roundtrip(problem_class).instances > 0
+    # The seed formula algorithm is the oracle, so it only runs beside the
+    # other engines.
+    assert report.oracle_checked == (engine != "reference")
     assert report.modal_depth == 1
     assert report.dag_size <= report.tree_size
 

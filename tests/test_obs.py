@@ -19,11 +19,14 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import dataclasses
 import io
+import itertools
 import json
 import logging
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -42,12 +45,23 @@ from repro.campaign import (
     ServiceClient,
     run_campaign,
 )
+from repro.algorithms.basic import (
+    BroadcastMinimumDegreeAlgorithm,
+    GatherDegreesAlgorithm,
+    NeighbourDegreeSumAlgorithm,
+)
+from repro.algorithms.leaf_election import LeafElectionAlgorithm
+from repro.algorithms.parity import SomeOddNeighbourAlgorithm
 from repro.campaign.backends.base import record_digest
 from repro.execution.engine import compile_instance
 from repro.execution.sweep import SweepStats, run_sweep
-from repro.graphs.generators import cycle_graph
-from repro.graphs.ports import all_port_numberings
-from repro.obs import metrics as obs_metrics
+from repro.graphs.generators import cycle_graph, random_regular_graph
+from repro.graphs.ports import all_port_numberings, random_port_numbering
+from repro.machines.library import reference_machine
+from repro.machines.models import ProblemClass
+from repro.machines.state_machine import algorithm_from_machine
+from repro.modal.algorithm_to_formula import formula_for_machine
+from repro.modal.formula_to_algorithm import algorithm_for_formula
 
 
 @pytest.fixture(autouse=True)
@@ -387,27 +401,83 @@ class TestExport:
 # --------------------------------------------------------------------------- #
 
 
-class TestSweepInstrumentation:
-    def test_counters_match_sweep_stats(self):
-        graph = cycle_graph(4)
-        instances = [
-            compile_instance((graph, numbering))
-            for numbering in list(all_port_numberings(graph))[:24]
-        ]
-        from repro.algorithms.parity import SomeOddNeighbourAlgorithm
+def _exhaustive(graph, limit=None):
+    return [
+        compile_instance((graph, numbering))
+        for numbering in itertools.islice(all_port_numberings(graph), limit)
+    ]
 
+
+def _sampled_regular_graph():
+    graph = random_regular_graph(3, 10, seed=1)
+    rng = random.Random(0)
+    return [
+        compile_instance((graph, random_port_numbering(graph, rng=rng))) for _ in range(600)
+    ]
+
+
+def _machine_algorithm(cls, delta, rounds):
+    machine = reference_machine(ProblemClass(cls), delta, rounds=rounds)
+    return algorithm_from_machine(machine.as_state_machine())
+
+
+def _formula_algorithm():
+    machine = reference_machine(ProblemClass.MV, 2, rounds=1)
+    formula = formula_for_machine(machine, ProblemClass.MV, 1)
+    return algorithm_for_formula(formula, ProblemClass.MV)
+
+
+def _c4():
+    return _exhaustive(cycle_graph(4))
+
+
+def _c5():
+    return _exhaustive(cycle_graph(5), 768)
+
+
+#: name -> (algorithm factory, instance builder, pinned
+#: ``(naive_occurrences, executed, evaluations)``).  E3-shaped: one algorithm
+#: per class over all 256 numberings of C4.  E9-shaped: two-round reference
+#: machines over 600 sampled numberings of a 3-regular graph.  Theorem 2
+#: round trip: the MV machine and its formula algorithm over the first 768
+#: numberings of C5 (the machine runs as a Vector-model algorithm, so no
+#: instance collapses).
+SWEEP_WORKLOADS = {
+    "E3-MV": (GatherDegreesAlgorithm, _c4, (1_024, 16, 1)),
+    "E3-SV": (LeafElectionAlgorithm, _c4, (1_024, 16, 3)),
+    "E3-VB": (BroadcastMinimumDegreeAlgorithm, _c4, (1_024, 16, 1)),
+    "E3-MB": (NeighbourDegreeSumAlgorithm, _c4, (1_024, 1, 1)),
+    "E3-SB": (SomeOddNeighbourAlgorithm, _c4, (1_024, 1, 1)),
+    "E9-VV": (lambda: _machine_algorithm("VV", 3, 2), _sampled_regular_graph, (12_000, 600, 24)),
+    "E9-MV": (lambda: _machine_algorithm("MV", 3, 2), _sampled_regular_graph, (12_000, 600, 24)),
+    "E9-SB": (lambda: _machine_algorithm("SB", 3, 2), _sampled_regular_graph, (12_000, 600, 2)),
+    "C5-machine": (lambda: _machine_algorithm("MV", 2, 1), _c5, (3_840, 768, 4)),
+    "C5-formula": (_formula_algorithm, _c5, (3_840, 24, 3)),
+}
+
+
+class TestSweepInstrumentation:
+    @pytest.mark.parametrize("workload", list(SWEEP_WORKLOADS))
+    def test_counters_match_sweep_stats(self, workload):
+        """The ``sweep.*`` counters of a sweep equal its ``SweepStats``.
+
+        The two runs use fresh algorithm objects (so fresh interning
+        tables): one accumulates a caller-owned stats object with telemetry
+        off, the other publishes counters with no stats object.  The pinned
+        triple keeps the superposition's dedup from silently collapsing.
+        """
+        make_algorithm, make_instances, pinned = SWEEP_WORKLOADS[workload]
+        instances = make_instances()
         stats = SweepStats()
-        run_sweep(SomeOddNeighbourAlgorithm(), instances, require_halt=False, stats=stats)
+        run_sweep(make_algorithm(), instances, require_halt=False, stats=stats)
 
         obs.enable()
-        run_sweep(SomeOddNeighbourAlgorithm(), instances, require_halt=False)
+        run_sweep(make_algorithm(), instances, require_halt=False)
         counters = obs.snapshot()["counters"]
-        assert counters["sweep.instances"] == stats.instances == len(instances)
-        assert counters["sweep.evaluations"] == stats.evaluations
-        assert (
-            counters["sweep.occurrences"] + counters["sweep.replicated_occurrences"]
-            == stats.naive_occurrences
-        )
+        assert stats.instances == len(instances)
+        for field in dataclasses.fields(SweepStats):
+            assert counters.get(f"sweep.{field.name}", 0) == getattr(stats, field.name), field
+        assert (stats.naive_occurrences, stats.executed, stats.evaluations) == pinned
 
     def test_disabled_overhead_guard(self):
         """The no-op telemetry path must be negligible on a small sweep.
@@ -425,8 +495,6 @@ class TestSweepInstrumentation:
             compile_instance((graph, numbering))
             for numbering in list(all_port_numberings(graph))[:64]
         ]
-        from repro.algorithms.parity import SomeOddNeighbourAlgorithm
-
         algorithm = SomeOddNeighbourAlgorithm()
         run_sweep(algorithm, instances, require_halt=False)  # warm-up
         sweep_wall = min(
