@@ -76,7 +76,7 @@ with tempfile.TemporaryDirectory() as root:
     assert serial.manifest_digest == service_digest
     print(f"service == serial manifest digest: {service_digest[:12]}")
 
-    # Backend migration, digest-verified: sqlite -> loose-object json.
+    # Export, digest-verified: the store -> the loose-file json layout.
     report = migrate_store(store_uri, f"json:{Path(root) / 'json-store'}")
     print(
         f"migrated {report['records_copied']} records to {report['destination']}; "

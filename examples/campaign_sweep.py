@@ -12,6 +12,7 @@ or ``export PYTHONPATH=src``).
 from __future__ import annotations
 
 import tempfile
+from pathlib import Path
 
 from repro.campaign import (
     CampaignSpec,
@@ -50,7 +51,7 @@ spec = CampaignSpec(
 )
 
 with tempfile.TemporaryDirectory() as root:
-    store = ResultStore(root)
+    store = ResultStore(Path(root) / "store.db")
 
     print(f"expanded {len(spec.expand())} scenarios, first few:")
     for scenario in spec.expand()[:3]:

@@ -63,7 +63,7 @@ with tempfile.TemporaryDirectory() as root:
     total = len(store.read_manifest(spec.name)["scenarios"])
     assert summary.executed == total
     assert counters["campaign.scenarios.execution"] == total
-    assert counters["store.json.records_written"] == total == store.count_records()
+    assert counters["store.sqlite.records_written"] == total == store.count_records()
     assert aggregates["campaign.run"]["attrs"]["executed"] == total
     assert aggregates["store.put_many"]["attrs"]["written"] == total
 

@@ -12,7 +12,7 @@ A campaign turns "imagine a scenario" into a sharded, cached, resumable run:
   in-process) through the compiled batch APIs
   (:func:`repro.execution.engine.run_iter`,
   :func:`repro.logic.engine.check_many`), and persists records in a
-  content-addressed :class:`~repro.campaign.store.ResultStore`, so re-invoked
+  content-addressed :data:`~repro.campaign.backends.ResultStore`, so re-invoked
   campaigns resume from the store and workers never change the manifest
   digest.  A dead worker fails the jobs it touched with
   ``BrokenProcessPool`` instead of hanging them;
@@ -21,10 +21,9 @@ A campaign turns "imagine a scenario" into a sharded, cached, resumable run:
   folds (:class:`~repro.campaign.aggregate.CampaignRollup`) into the same
   :class:`~repro.experiments.report.ExperimentResult` tables the experiment
   harness prints;
-* storage is pluggable (:mod:`~repro.campaign.backends`): ``json:path``
-  keeps the loose-object layout, ``sqlite:path`` is a single WAL-mode
-  database safe for concurrent writers, and :func:`migrate_store` converts
-  between them with digest verification;
+* the store (:mod:`~repro.campaign.backends`) is one WAL-mode sqlite file,
+  safe for concurrent writers; :func:`migrate_store` exports it to the json
+  loose-file layout and imports that back, with digest verification;
 * the same service is long-lived behind :mod:`~repro.campaign.service` --
   asynchronous submission, cross-campaign in-flight dedup, streaming
   rollups, cancellation -- served over TCP by
@@ -44,14 +43,13 @@ __getattr__, __dir__ = _lazy_exports(
         "campaign_result": ".aggregate",
         "load_records": ".aggregate",
         "report_campaign": ".aggregate",
-        "BACKENDS": ".backends",
-        "JsonBackend": ".backends",
+        "ResultStore": ".backends",
         "SqliteBackend": ".backends",
-        "StoreBackend": ".backends",
         "StoreError": ".backends",
         "migrate_store": ".backends",
         "open_backend": ".backends",
         "parse_store_uri": ".backends",
+        "record_digest": ".backends",
         "BUILTIN_CAMPAIGNS": ".builtin",
         "builtin_spec": ".builtin",
         "CampaignRun": ".executor",
@@ -75,14 +73,11 @@ __getattr__, __dir__ = _lazy_exports(
         "CampaignSpec": ".spec",
         "GraphGrid": ".spec",
         "Scenario": ".spec",
-        "ResultStore": ".store",
-        "record_digest": ".store",
     },
 )
 
 __all__ = [
     "ALGORITHMS",
-    "BACKENDS",
     "BUILTIN_CAMPAIGNS",
     "CampaignRollup",
     "CampaignRun",
@@ -93,7 +88,6 @@ __all__ = [
     "GRAPH_FAMILIES",
     "GraphFamily",
     "GraphGrid",
-    "JsonBackend",
     "MACHINES",
     "MachineWorkload",
     "MODEL_DEFAULT_ALGORITHMS",
@@ -103,7 +97,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "SqliteBackend",
-    "StoreBackend",
     "StoreError",
     "builtin_spec",
     "build_graph",

@@ -16,19 +16,22 @@ Usage::
     python -m repro.campaign cancel  <job> --port P [--json]
     python -m repro.campaign metrics --port P [--json]
 
-``--store`` accepts a store URI: a bare path (the json directory layout, as
-ever), ``json:path``, or ``sqlite:path`` for the single-file WAL database
-backend.  ``run`` accepts a built-in campaign name or a path to a JSON spec
-file; it is resumable by construction (scenarios already in the store are
-skipped).  ``resume`` re-invokes a campaign whose spec is recovered from the
-stored manifest (or a built-in), so an interrupted run continues without the
-original spec file.  Both run the campaign as one job of an in-process
-:class:`~repro.campaign.executor.CampaignService` and print that job's
-rollup.  ``report`` aggregates the stored records into the same
-paper-vs-measured table the experiment harness prints; ``--json`` emits the
-machine-readable form CI consumes.  ``migrate`` copies a store between
-backends and verifies byte-identical manifests and matching digests before
-reporting success.
+``--store`` names the result store: the path of its sqlite file (bare or as
+``sqlite:path``), created on the first write.  ``json:path`` names the
+loose-file layout that only ``migrate`` reads and writes; every other verb
+refuses it, and refuses a directory, with the ``migrate`` command that
+converts a json store.  ``run`` accepts a built-in campaign name or a path
+to a JSON spec file; it is resumable by construction (scenarios already in
+the store are skipped).  ``resume`` re-invokes a campaign whose spec is
+recovered from the stored manifest (or a built-in), so an interrupted run
+continues without the original spec file.  Both run the campaign as one
+job of an in-process :class:`~repro.campaign.executor.CampaignService` and
+print that job's rollup.  ``report`` aggregates the stored records into the
+same paper-vs-measured table the experiment harness prints; ``--json`` emits
+the machine-readable form CI consumes.  ``migrate`` copies a store to the json
+layout or back (``migrate <file> json:<dir>``, ``migrate json:<dir> <file>``)
+and verifies byte-identical manifests and matching digests before reporting
+success.
 
 ``serve`` starts the long-lived work-queue service on a TCP socket (port 0
 picks a free port; ``--port-file`` writes the bound address for scripts);
@@ -53,10 +56,9 @@ from pathlib import Path
 
 from repro import obs
 from repro.campaign.aggregate import report_campaign
-from repro.campaign.backends import migrate_store
+from repro.campaign.backends import ResultStore, StoreError, migrate_store
 from repro.campaign.builtin import BUILTIN_CAMPAIGNS, builtin_spec
 from repro.campaign.spec import CampaignSpec
-from repro.campaign.store import ResultStore, StoreError
 from repro.experiments.report import format_report
 
 DEFAULT_STORE = "campaign-store"
@@ -64,14 +66,22 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7340
 
 
-def _resolve_spec(target: str, store: ResultStore, prefer_manifest: bool) -> CampaignSpec:
-    """A spec from a stored manifest, a built-in name, or a JSON file path.
+def _open_store(location: str) -> ResultStore:
+    try:
+        return ResultStore(location)
+    except ValueError as error:
+        raise SystemExit(f"error: {error}") from None
 
-    For ``resume`` the stored manifest wins over a built-in of the same name:
-    the user may have run a customized spec under that name, and resuming
-    must continue *that* campaign, not silently swap in the built-in grid.
+
+def _resolve_spec(target: str, store: ResultStore | None = None) -> CampaignSpec:
+    """A spec from ``store``'s manifest, a built-in name, or a JSON file path.
+
+    For ``resume`` (which passes its store) the stored manifest wins over a
+    built-in of the same name: the user may have run a customized spec under
+    that name, and resuming must continue *that* campaign, not silently swap
+    in the built-in grid.
     """
-    if prefer_manifest:
+    if store is not None:
         try:
             manifest = store.read_manifest(target)
         except KeyError:
@@ -190,7 +200,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--store",
         default=DEFAULT_STORE,
-        help="result store URI: a path, json:path, or sqlite:path",
+        help="result store: the path of its sqlite file (or sqlite:path)",
     )
     parser.add_argument(
         "--log-level",
@@ -227,10 +237,10 @@ def main(argv: list[str]) -> int:
     commands.add_parser("list", help="list built-in and stored campaigns")
 
     migrate_parser = commands.add_parser(
-        "migrate", help="copy a store to another backend and verify digests"
+        "migrate", help="copy a store to or from the json layout and verify digests"
     )
-    migrate_parser.add_argument("source", help="source store URI")
-    migrate_parser.add_argument("destination", help="destination store URI")
+    migrate_parser.add_argument("source", help="source: a store path or json:dir")
+    migrate_parser.add_argument("destination", help="destination: a store path or json:dir")
     migrate_parser.add_argument("--json", action="store_true")
 
     serve_parser = commands.add_parser("serve", help="start the campaign work-queue service")
@@ -308,7 +318,7 @@ def main(argv: list[str]) -> int:
             obs.enable()
         if args.trace:
             obs.configure_tracing(path=args.trace)
-        service = CampaignService(args.store, workers=args.workers)
+        service = CampaignService(_open_store(args.store), workers=args.workers)
         server = CampaignServiceServer(service, host=args.host, port=args.port)
         host, port = server.address
         if args.port_file:
@@ -339,9 +349,7 @@ def main(argv: list[str]) -> int:
                         print(payload["prometheus"], end="")
                     return 0
                 if args.command == "submit":
-                    spec = _resolve_spec(
-                        args.campaign, ResultStore(args.store), prefer_manifest=False
-                    )
+                    spec = _resolve_spec(args.campaign)
                     job_id = client.submit(spec, resume=not args.no_resume)
                     if not args.wait:
                         _emit(client.status(job_id), args.json)
@@ -367,7 +375,7 @@ def main(argv: list[str]) -> int:
             except ServiceError as error:
                 raise SystemExit(f"error: {error.args[0] if error.args else error}") from None
 
-    store = ResultStore(args.store)
+    store = _open_store(args.store)
 
     if args.command == "list":
         print("built-in campaigns:")
@@ -400,7 +408,7 @@ def main(argv: list[str]) -> int:
             obs.enable()
         if args.trace:
             obs.configure_tracing(path=args.trace)
-        spec = _resolve_spec(args.campaign, store, prefer_manifest=args.command == "resume")
+        spec = _resolve_spec(args.campaign, store if args.command == "resume" else None)
         try:
             summary = run_campaign(
                 spec,

@@ -37,8 +37,8 @@ from collections.abc import Iterable
 from typing import Any
 
 from repro.campaign import registry
+from repro.campaign.backends import ResultStore, open_backend
 from repro.campaign.spec import CampaignSpec, _freeze
-from repro.campaign.store import ResultStore
 from repro.experiments.report import ExperimentResult
 
 
@@ -297,14 +297,14 @@ def campaign_result(spec: CampaignSpec, records: Iterable[dict[str, Any]]) -> Ex
     return CampaignRollup(spec).fold_many(records).result()
 
 
-def report_campaign(store: ResultStore, name: str) -> ExperimentResult:
+def report_campaign(store: ResultStore | str, name: str) -> ExperimentResult:
     """Aggregate a stored campaign into a report result, streaming.
 
-    Records flow straight from the backend's batch reader into the fold --
+    Records flow straight from the store's batch reader into the fold --
     the full record list is never materialized, which is what keeps report
     time flat in memory at 10^5+ records.
     """
-    store = ResultStore(store)
+    store = open_backend(store)
     manifest = store.read_manifest(name)
     spec = CampaignSpec.from_dict(manifest["spec"])
     rollup = CampaignRollup(spec)

@@ -1,97 +1,74 @@
-"""Pluggable campaign storage backends, selected by store URI.
+"""The campaign result store and the verified migration to and from json.
 
-A store location is either a bare path (backend auto-detected: an existing
-regular file is a sqlite database, anything else the original json-directory
-layout) or an explicit ``scheme:path`` URI::
+The store is one WAL-mode sqlite file
+(:class:`~repro.campaign.backends.sqlite_backend.SqliteBackend`, public as
+:data:`ResultStore`).  Its location is a path, bare or as a URI::
 
-    json:campaign-store          loose JSON objects + index.json (the default)
-    sqlite:campaigns.db          one WAL-mode database file
+    campaigns.db                 the store (created on first write)
+    sqlite:campaigns.db          the same store
+    json:campaign-store          the loose-file layout; only migrate_store opens it
 
-:func:`open_backend` resolves a location to a live backend;
-:func:`migrate_store` converts a store between backends and verifies the
+:func:`open_backend` resolves a location to the store (an open store passes
+through); :func:`migrate_store` copies records and manifests between the
+store and the json layout, in either direction, and verifies the
 manifest-digest contract held (byte-identical manifests, matching record
-digests) -- the property that makes backends interchangeable.
+digests).
 """
 
 from __future__ import annotations
 
+import json
 import os
-from collections.abc import Callable
-from pathlib import Path
 from typing import Any
 
-from repro.campaign.backends.base import (
+from repro.campaign.backends.sqlite_backend import (
     VOLATILE_FIELDS,
-    StoreBackend,
+    SqliteBackend,
     StoreError,
+    parse_store_uri,
     record_digest,
 )
-from repro.campaign.backends.json_backend import JsonBackend
-from repro.campaign.backends.sqlite_backend import SqliteBackend
 from repro.campaign.spec import content_digest
 
-#: scheme -> backend constructor.
-BACKENDS: dict[str, Callable[[str | os.PathLike[str]], StoreBackend]] = {
-    JsonBackend.scheme: JsonBackend,
-    SqliteBackend.scheme: SqliteBackend,
-}
+#: The public name of the one store: ``ResultStore(path)`` opens it.
+ResultStore = SqliteBackend
 
 #: Records copied per transaction/index-flush during migration.
 MIGRATE_BATCH = 1_000
 
 
-def parse_store_uri(location: str | os.PathLike[str]) -> tuple[str, str]:
-    """Split a store location into ``(scheme, path)``.
-
-    Bare paths auto-detect: a path that exists as a regular file (or ends in
-    ``.db``/``.sqlite``/``.sqlite3``) is a sqlite database; everything else
-    is the json directory layout, preserving the historical meaning of every
-    pre-URI call site.
-    """
-    if isinstance(location, os.PathLike):
-        location = str(location)
-    for scheme in BACKENDS:
-        prefix = f"{scheme}:"
-        if location.startswith(prefix):
-            path = location[len(prefix) :]
-            if not path:
-                raise ValueError(f"store URI {location!r} has an empty path")
-            return scheme, path
-    head = location.split(":", 1)[0]
-    if ":" in location and head.isalpha() and len(head) > 1:
-        known = ", ".join(sorted(BACKENDS))
-        raise ValueError(f"unknown store backend {head!r} in {location!r}; known: {known}")
-    path = Path(location)
-    if path.is_file() or path.suffix in (".db", ".sqlite", ".sqlite3"):
-        return SqliteBackend.scheme, location
-    return JsonBackend.scheme, location
+def open_backend(location: str | os.PathLike[str] | SqliteBackend) -> SqliteBackend:
+    """The store at a location, or an open store passed through."""
+    if isinstance(location, SqliteBackend):
+        return location
+    return SqliteBackend(location)
 
 
-def open_backend(location: str | os.PathLike[str] | StoreBackend) -> StoreBackend:
-    """Resolve a store location (or pass through a live backend)."""
-    if isinstance(location, StoreBackend):
+def _open_either(location: Any) -> Any:
+    """The store, or the json layout for a ``json:`` location (migration only)."""
+    from repro.campaign.backends.json_backend import JsonBackend
+
+    if isinstance(location, (SqliteBackend, JsonBackend)):
         return location
     scheme, path = parse_store_uri(location)
-    return BACKENDS[scheme](path)
+    return JsonBackend(path) if scheme == JsonBackend.scheme else SqliteBackend(location)
 
 
-def migrate_store(
-    source: str | os.PathLike[str] | StoreBackend,
-    destination: str | os.PathLike[str] | StoreBackend,
-    batch: int = MIGRATE_BATCH,
-) -> dict[str, Any]:
+def migrate_store(source: Any, destination: Any, batch: int = MIGRATE_BATCH) -> dict[str, Any]:
     """Copy every record and manifest from ``source`` into ``destination``.
 
-    Existing destination records win (the content-addressed contract), so a
-    migration is resumable and can merge stores.  After copying, every
-    migrated manifest is verified against the destination: the stored bytes
-    must match the source exactly and the recomputed digest chain (record
-    digests -> manifest digest) must agree -- a failed verification raises
-    :class:`StoreError` before the migration is reported as done.
+    Either side is a store location (a path or ``sqlite:path``) or a
+    ``json:path`` layout.  Existing destination records win (the
+    content-addressed contract), so a migration is resumable and can merge
+    stores.  After copying, every migrated manifest is verified against the
+    destination: the stored bytes must match the source exactly and the
+    recomputed digest chain (record digests -> manifest digest) must agree
+    -- a failed verification raises :class:`StoreError` before the migration
+    is reported as done.
     """
-    src = open_backend(source)
-    dst = open_backend(destination)
-    if getattr(src, "root", None) == getattr(dst, "root", None) and src.scheme == dst.scheme:
+    src = _open_either(source)
+    dst = _open_either(destination)
+    if src.uri == dst.uri:
         raise ValueError(f"source and destination are the same store: {src.uri}")
 
     copied = 0
@@ -121,7 +98,7 @@ def migrate_store(
         text = dst.read_manifest_text(name)
         if text != src.read_manifest_text(name):
             raise StoreError(f"manifest {name!r} bytes differ after migration to {dst.uri}")
-        manifest = dst.read_manifest(name)
+        manifest = json.loads(text)
         stable = {"spec": manifest["spec"], "scenarios": manifest["scenarios"]}
         recomputed = content_digest(stable)
         if recomputed != manifest["manifest_digest"]:
@@ -155,10 +132,8 @@ def migrate_store(
 
 
 __all__ = [
-    "BACKENDS",
-    "JsonBackend",
+    "ResultStore",
     "SqliteBackend",
-    "StoreBackend",
     "StoreError",
     "VOLATILE_FIELDS",
     "migrate_store",

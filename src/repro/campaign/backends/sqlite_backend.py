@@ -1,27 +1,39 @@
-"""The ``sqlite`` backend: one WAL-mode database file per store.
+"""The campaign result store: one WAL-mode sqlite database file.
 
 Schema::
 
     objects(hash PRIMARY KEY, digest, record)     one row per scenario record
     manifests(name PRIMARY KEY, digest, manifest) one row per campaign
 
-Why sqlite for millions of records where loose JSON files stop scaling:
+The store persists three things:
 
-* ``put_many`` is one ``BEGIN IMMEDIATE`` transaction per shard instead of
+* **records** -- one JSON document per scenario content hash, kept once
+  present (``put`` on a stored hash is a no-op), which is what makes
+  campaigns resumable and concurrent writers safe;
+* **record digests** -- a SHA-256 per record over its canonical JSON minus
+  volatile fields (wall-clock timings), the unit the manifest digest is built
+  from;
+* **manifests** -- one canonical-JSON document per campaign name, whose
+  *bytes* are the digest contract: the same spec run with any worker count
+  and through any execution path stores byte-identical manifest text, and
+  ``migrate`` carries those bytes to the json export layout and back
+  unchanged.
+
+Why one sqlite file:
+
+* ``put_many`` is one ``BEGIN IMMEDIATE`` transaction per unit instead of
   one atomic file rename per record -- and a writer killed mid-transaction
   rolls back cleanly on the next open (WAL recovery), so an interrupted
-  campaign resumes from the last committed shard;
+  campaign resumes from the last committed unit;
 * ``has_many`` / ``get_many`` / ``record_digests_of`` are set-at-a-time
-  indexed queries instead of per-record ``stat``/``open`` syscalls, which is
-  what makes warm resume and report scale past 10^5 records;
+  indexed queries instead of per-record ``stat``/``open`` syscalls;
 * WAL mode plus a busy timeout makes concurrent multi-process writers safe:
   readers never block the writer, writers queue on the database lock, and
-  ``INSERT OR IGNORE`` keeps the existing-record-wins idempotence of the
-  content-addressed contract.
+  a stored record wins over a newcomer with the same hash.
 
 Connections are opened lazily, per process *and* per thread (sqlite
 connections are not fork- or thread-portable), and dropped on pickling so a
-backend instance can travel to multiprocessing workers like a path would.
+store can travel to worker processes like a path would.
 """
 
 from __future__ import annotations
@@ -35,14 +47,19 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import Any
 
-from repro.campaign.backends.base import (
-    StoreBackend,
-    StoreError,
-    decode_record,
-    observe_put_many,
-    record_digest,
-)
+from repro.campaign.spec import CampaignSpec, Scenario, canonical_json, content_digest
+from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
+
+#: Record fields excluded from the record digest (timing noise, not results).
+#: ``elapsed_apportioned`` qualifies how ``elapsed_s`` was measured, so it is
+#: volatile for the same reason the timing itself is.
+VOLATILE_FIELDS = ("elapsed_s", "elapsed_apportioned")
+
+#: The schemes a store location may carry: ``sqlite:path`` (or a bare path)
+#: opens the store, ``json:path`` names the layout only ``migrate`` reads and
+#: writes.
+SCHEMES = ("sqlite", "json")
 
 #: Hashes per ``WHERE hash IN (...)`` chunk; comfortably under sqlite's
 #: default 999-variable limit.
@@ -62,19 +79,107 @@ CREATE TABLE IF NOT EXISTS manifests (
 """
 
 
+class StoreError(RuntimeError):
+    """A stored object exists but cannot be served (corrupt / unreadable).
+
+    Distinct from :class:`KeyError` (absent record): callers that can
+    re-evaluate treat both as "missing", callers that cannot (``get`` on a
+    hash the manifest promises) surface the location so the operator can
+    prune the damaged record or re-run its campaign.
+    """
+
+
+def record_digest(record: dict[str, Any]) -> str:
+    """Digest of a record's deterministic content."""
+    stable = {key: value for key, value in record.items() if key not in VOLATILE_FIELDS}
+    return content_digest(stable)
+
+
+def decode_record(text: str, origin: str) -> dict[str, Any]:
+    """Parse stored record text, raising :class:`StoreError` naming the origin."""
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as error:
+        problem = str(error)
+    else:
+        if isinstance(record, dict) and "hash" in record:
+            return record
+        problem = "not a record document"
+    if _metrics.enabled():
+        _metrics.counter("store.corrupt_objects").inc()
+    raise StoreError(f"corrupt record object at {origin}: {problem}")
+
+
+def parse_store_uri(location: str | os.PathLike[str]) -> tuple[str, str]:
+    """Split a store location into ``(scheme, path)``; a bare path is sqlite."""
+    location = os.fspath(location)
+    head, colon, path = location.partition(":")
+    if not colon or len(head) < 2 or not head.isalpha():
+        return "sqlite", location  # a bare path (a drive letter is not a scheme)
+    if head not in SCHEMES:
+        raise ValueError(
+            f"unknown store scheme {head!r} in {location!r}; known: {', '.join(SCHEMES)}"
+        )
+    if not path:
+        raise ValueError(f"store URI {location!r} has an empty path")
+    return head, path
+
+
 def _chunks(items: list, size: int = _IN_CHUNK) -> Iterator[list]:
     for start in range(0, len(items), size):
         yield items[start : start + size]
 
 
-class SqliteBackend(StoreBackend):
-    """A content-addressed store in a single WAL-mode sqlite database."""
+def _row(record: dict[str, Any]) -> tuple[str, str, str]:
+    # Strict JSON only, so that sqlite's json_valid() tells exactly which
+    # rows decode.
+    try:
+        text = json.dumps(record, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise StoreError(
+            f"record {record['hash'][:12]} holds a NaN or infinite float, "
+            "which a store record cannot hold"
+        ) from None
+    return record["hash"], record_digest(record), text
+
+
+class SqliteBackend:
+    """A content-addressed store of scenario records and campaign manifests.
+
+    ``location`` is the path of the database file, bare or as ``sqlite:path``;
+    nothing is created until the first write.  A ``json:`` location and an
+    existing directory are refused: the json layout is ``migrate``'s export
+    format, and the message names the ``migrate`` command that converts it.
+    """
 
     scheme = "sqlite"
 
-    def __init__(self, root: str | os.PathLike[str]) -> None:
-        self.root = Path(root)
+    def __init__(self, location: str | os.PathLike[str]) -> None:
+        scheme, path = parse_store_uri(location)
+        if scheme != self.scheme:
+            raise ValueError(
+                f"{location} names the json layout, which only migrate reads and "
+                f"writes; convert it with `python -m repro.campaign migrate "
+                f"{location} <store file>`"
+            )
+        self.root = Path(path)
+        if self.root.is_dir():
+            if (self.root / "index.json").exists() or (self.root / "objects").is_dir():
+                raise ValueError(
+                    f"{self.root} holds a json store, which only migrate reads; "
+                    f"convert it with `python -m repro.campaign migrate "
+                    f"json:{self.root} {self.root}.db` and open {self.root}.db"
+                )
+            raise ValueError(f"{self.root} is a directory; a store is one sqlite file")
         self._local = threading.local()
+
+    @property
+    def uri(self) -> str:
+        """The store URI that reopens this store."""
+        return f"{self.scheme}:{self.root}"
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<{type(self).__name__} {self.uri}>"
 
     # ------------------------------------------------------------------ #
     # Connection management
@@ -112,7 +217,7 @@ class SqliteBackend(StoreBackend):
         self._local.conn = None
 
     def __getstate__(self) -> dict[str, Any]:
-        # Connections are process-local; a pickled backend travels as a path.
+        # Connections are process-local; a pickled store travels as a path.
         return {"root": self.root}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -124,15 +229,16 @@ class SqliteBackend(StoreBackend):
     # ------------------------------------------------------------------ #
 
     def has(self, scenario_hash: str) -> bool:
-        conn = self._connect(create=False)
-        if conn is None:
-            return False
-        row = conn.execute(
-            "SELECT 1 FROM objects WHERE hash = ?", (scenario_hash,)
-        ).fetchone()
-        return row is not None
+        """Whether a *servable* record is stored under the hash."""
+        return bool(self.has_many([scenario_hash]))
 
     def has_many(self, scenario_hashes: Iterable[str]) -> set[str]:
+        """The subset of the given hashes with servable stored records.
+
+        A row that is not valid JSON (a damaged file) counts as missing:
+        resume keys off this, and re-evaluating a damaged record beats
+        crashing on it.  ``put_many`` then replaces the row.
+        """
         conn = self._connect(create=False)
         if conn is None:
             return set()
@@ -140,25 +246,19 @@ class SqliteBackend(StoreBackend):
         for chunk in _chunks(list(scenario_hashes)):
             marks = ",".join("?" * len(chunk))
             rows = conn.execute(
-                f"SELECT hash FROM objects WHERE hash IN ({marks})", chunk
+                f"SELECT hash FROM objects WHERE hash IN ({marks}) AND json_valid(record)",
+                chunk,
             ).fetchall()
             present.update(row[0] for row in rows)
         return present
 
     def get(self, scenario_hash: str) -> dict[str, Any]:
-        conn = self._connect(create=False)
-        row = (
-            conn.execute(
-                "SELECT record FROM objects WHERE hash = ?", (scenario_hash,)
-            ).fetchone()
-            if conn is not None
-            else None
-        )
-        if row is None:
-            raise KeyError(f"no record for scenario hash {scenario_hash}")
-        return decode_record(row[0], f"{self.uri}#objects/{scenario_hash}")
+        """The stored record; :class:`KeyError` if absent, :class:`StoreError`
+        if present but unreadable."""
+        return next(self.get_many([scenario_hash]))
 
     def get_many(self, scenario_hashes: Iterable[str]) -> Iterator[dict[str, Any]]:
+        """Stored records in request order (the streaming report path)."""
         requested = list(scenario_hashes)
         conn = self._connect(create=False)
         if conn is None:
@@ -178,57 +278,52 @@ class SqliteBackend(StoreBackend):
                 yield decode_record(text, f"{self.uri}#objects/{scenario_hash}")
 
     def put(self, record: dict[str, Any], overwrite: bool = False) -> bool:
+        """Store one record; see :meth:`put_many`."""
         return self.put_many([record], overwrite=overwrite) == 1
 
     def put_many(self, records: Iterable[dict[str, Any]], overwrite: bool = False) -> int:
-        """One transaction per batch: all-or-nothing shard persistence.
+        """Store a batch of records in one transaction; returns how many were written.
 
-        ``INSERT OR IGNORE`` keeps existing records (idempotent resumes and
-        concurrent writers); ``overwrite`` replaces them (the forced
-        re-evaluation path).  A writer killed mid-batch leaves no partial
-        shard -- WAL recovery rolls the transaction back on the next open.
+        A stored record is kept (idempotent resumes and concurrent writers)
+        unless it is unreadable, which the newcomer replaces; ``overwrite``
+        replaces every stored record (the forced re-evaluation path).  A
+        writer killed mid-batch leaves no partial batch -- WAL recovery rolls
+        the transaction back on the next open.
         """
-        rows = [
-            (record["hash"], record_digest(record), json.dumps(record, sort_keys=True))
-            for record in records
-        ]
+        rows = [_row(record) for record in records]
         if not rows:
             return 0
         with _span("store.put_many", backend=self.scheme, batch=len(rows)) as sp:
             started = time.perf_counter()
             conn = self._connect(create=True)
-            verb = "INSERT OR REPLACE" if overwrite else "INSERT OR IGNORE"
+            keep = "" if overwrite else " WHERE NOT json_valid(objects.record)"
             before = conn.total_changes
             conn.execute("BEGIN IMMEDIATE")
             try:
                 conn.executemany(
-                    f"{verb} INTO objects (hash, digest, record) VALUES (?, ?, ?)", rows
+                    "INSERT INTO objects (hash, digest, record) VALUES (?, ?, ?) "
+                    "ON CONFLICT(hash) DO UPDATE SET digest = excluded.digest, "
+                    f"record = excluded.record{keep}",
+                    rows,
                 )
             except BaseException:
                 conn.execute("ROLLBACK")
                 raise
             conn.execute("COMMIT")
             written = conn.total_changes - before
-            observe_put_many(
-                self.scheme, len(rows), written, time.perf_counter() - started
-            )
+            if _metrics.enabled():
+                _metrics.counter("store.sqlite.records_written").inc(written)
+                _metrics.histogram(
+                    "store.put_many.batch_size", buckets=_metrics.DEFAULT_SIZE_BUCKETS
+                ).observe(len(rows))
+                _metrics.histogram("store.sqlite.put_many_seconds").observe(
+                    time.perf_counter() - started
+                )
             sp.set(written=written)
         return written
 
-    def record_digest_of(self, scenario_hash: str) -> str:
-        conn = self._connect(create=False)
-        row = (
-            conn.execute(
-                "SELECT digest FROM objects WHERE hash = ?", (scenario_hash,)
-            ).fetchone()
-            if conn is not None
-            else None
-        )
-        if row is None:
-            raise KeyError(f"no record for scenario hash {scenario_hash}")
-        return row[0]
-
     def record_digests_of(self, scenario_hashes: Iterable[str]) -> list[str]:
+        """Record digests in request order (the manifest-write path)."""
         requested = list(scenario_hashes)
         conn = self._connect(create=False)
         digests: dict[str, str] = {}
@@ -245,6 +340,7 @@ class SqliteBackend(StoreBackend):
         return [digests[h] for h in requested]
 
     def iter_records(self) -> Iterator[dict[str, Any]]:
+        """All stored records, in ascending hash order (deterministic)."""
         conn = self._connect(create=False)
         if conn is None:
             return
@@ -265,6 +361,35 @@ class SqliteBackend(StoreBackend):
     # Manifests
     # ------------------------------------------------------------------ #
 
+    def write_manifest(self, spec: CampaignSpec, scenarios: list[Scenario]) -> tuple[str, str]:
+        """Write the campaign manifest and return ``(location, digest)``.
+
+        The manifest lists every scenario in expansion order with its content
+        hash and record digest.  Its digest covers exactly the spec and that
+        list, so any two runs of the same spec that produced the same records
+        -- serial, sharded or service-queued -- emit byte-identical manifests.
+        """
+        hashes = [scenario.content_hash() for scenario in scenarios]
+        digests = self.record_digests_of(hashes)
+        entries = [
+            {"hash": scenario_hash, "record_digest": digest}
+            for scenario_hash, digest in zip(hashes, digests)
+        ]
+        stable = {"spec": spec.to_dict(), "scenarios": entries}
+        digest = content_digest(stable)
+        manifest = {"manifest_digest": digest, **stable}
+        location = self._write_manifest_text(spec.name, canonical_json(manifest))
+        return location, digest
+
+    def read_manifest(self, name: str) -> dict[str, Any]:
+        text = self.read_manifest_text(name)
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as error:
+            raise StoreError(
+                f"corrupt manifest for campaign {name!r} in {self.uri}: {error}"
+            ) from None
+
     def _write_manifest_text(self, name: str, text: str) -> str:
         try:
             digest = json.loads(text)["manifest_digest"]
@@ -278,6 +403,7 @@ class SqliteBackend(StoreBackend):
         return f"{self.uri}#campaigns/{name}"
 
     def read_manifest_text(self, name: str) -> str:
+        """The stored manifest bytes (the digest contract)."""
         conn = self._connect(create=False)
         row = (
             conn.execute(
@@ -294,6 +420,7 @@ class SqliteBackend(StoreBackend):
         return row[0]
 
     def list_campaigns(self) -> list[str]:
+        """Stored campaign names, sorted."""
         conn = self._connect(create=False)
         if conn is None:
             return []

@@ -47,9 +47,8 @@ from typing import Any
 
 from repro.campaign import registry
 from repro.campaign.aggregate import CampaignRollup
-from repro.campaign.backends.base import StoreError
+from repro.campaign.backends import ResultStore, StoreError, open_backend
 from repro.campaign.spec import CampaignSpec, Scenario, content_digest
-from repro.campaign.store import ResultStore
 from repro.engines.registry import resolve_engine
 from repro.execution.engine import run_iter
 from repro.experiments.report import ExperimentResult
@@ -382,7 +381,7 @@ def _record(
         "elapsed_s": round(elapsed, 6),
         # True when elapsed_s is an even share of a batched group's wall
         # time rather than a per-scenario measurement.  Volatile (see
-        # ``backends.base.VOLATILE_FIELDS``), like the timing it qualifies.
+        # ``backends.VOLATILE_FIELDS``), like the timing it qualifies.
         "elapsed_apportioned": apportioned,
     }
 
@@ -449,6 +448,11 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 _TERMINAL = ("done", "failed", "cancelled")
 
 _STOP = object()
+
+#: Set once the dispatch loop has logged a failed step: the first failure
+#: in a process logs a WARNING, later ones only count
+#: ``fallback.campaign.fold``.
+_KEEPALIVE_WARNED = threading.Event()
 
 
 class ServiceError(RuntimeError):
@@ -525,7 +529,7 @@ class CampaignService:
     """
 
     def __init__(self, store: ResultStore | str, workers: int | None = None) -> None:
-        self.store = ResultStore(store)
+        self.store = open_backend(store)
         self.workers = workers or 0
         self._lock = threading.RLock()
         self._turnstile = threading.Condition(self._lock)
@@ -795,12 +799,26 @@ class CampaignService:
     def _guarded(
         self, step: Callable[..., Any], job_id: str, unit: list[Scenario], *args: Any
     ) -> Any:
-        """Run one loop step; an error fails the unit's jobs, not the loop."""
+        """Run one loop step; an error fails the unit's jobs, not the loop.
+
+        The first failure in a process logs one WARNING naming the step,
+        also when every job of the unit is already terminal and so logs no
+        failure of its own.
+        """
         try:
             return step(job_id, unit, *args)
         except Exception as error:  # noqa: BLE001 - keep the loop alive
             if _metrics.enabled():
                 _metrics.counter("fallback.campaign.fold").inc()
+            if not _KEEPALIVE_WARNED.is_set():
+                _KEEPALIVE_WARNED.set()
+                _log.warning(
+                    "dispatch step %s failed for %s, loop kept alive: %s: %s",
+                    step.__name__,
+                    job_id,
+                    type(error).__name__,
+                    error,
+                )
             self._fail_unit(job_id, unit, error)
             return False
 
@@ -903,7 +921,6 @@ class CampaignService:
         """
         try:
             location, digest = self.store.write_manifest(job.spec, job.scenarios)
-            self.store.save_index()
         except (KeyError, StoreError, OSError) as error:
             self._fail_locked(job, f"manifest write failed: {error}", error)
             return

@@ -19,7 +19,7 @@ import threading
 import time
 from typing import Any
 
-from repro.campaign.backends.base import StoreError
+from repro.campaign.backends import StoreError
 from repro.campaign.builtin import BUILTIN_CAMPAIGNS, builtin_spec
 from repro.campaign.executor import (
     _TERMINAL,

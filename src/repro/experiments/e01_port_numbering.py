@@ -13,7 +13,6 @@ from repro.experiments.report import ExperimentResult
 from repro.graphs.generators import cycle_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.graphs.ports import (
-    PortNumbering,
     consistent_port_numbering,
     count_port_numberings,
     random_port_numbering,

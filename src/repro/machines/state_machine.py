@@ -22,12 +22,12 @@ execution semantics (checked in the test suite).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.machines.algorithm import NO_MESSAGE, Algorithm, Output, VectorAlgorithm
-from repro.machines.models import Model, ReceiveMode, SendMode, VECTOR_MODEL
+from repro.machines.algorithm import NO_MESSAGE, Algorithm, VectorAlgorithm
+from repro.machines.models import SendMode
 
 
 @dataclass(frozen=True)

@@ -26,12 +26,13 @@ from repro.campaign import (
     builtin_spec,
     campaign_result,
     load_records,
+    migrate_store,
     run_campaign,
 )
 from repro.campaign.__main__ import main as campaign_main
 from repro.campaign.executor import canonical_value, evaluate_scenarios
 from repro.campaign.registry import build_graph, build_numbering, derived_seed
-from repro.campaign.store import record_digest
+from repro.campaign.backends import record_digest
 
 
 def tiny_spec(name: str = "tiny") -> CampaignSpec:
@@ -287,26 +288,6 @@ class TestStore:
         slower = dict(record, elapsed_s=record["elapsed_s"] + 100)
         assert record_digest(slower) == record_digest(record)
 
-    def test_index_self_heals(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_spec().expand()[0]
-        [record] = evaluate_scenarios([scenario])
-        store.put(record)
-        store.save_index()
-        # Simulate an interrupted earlier run: record on disk, index lost.
-        fresh = ResultStore(tmp_path / "store")
-        fresh.index_path.unlink()
-        assert fresh.record_digest_of(record["hash"]) == record_digest(record)
-
-    def test_lost_index_is_healed_and_persisted_by_a_warm_resume(self, tmp_path):
-        spec = tiny_spec()
-        run_campaign(spec, tmp_path / "store")
-        (tmp_path / "store" / "index.json").unlink()
-        warm = run_campaign(spec, tmp_path / "store")
-        assert warm.executed == 0
-        healed = json.loads((tmp_path / "store" / "index.json").read_text())
-        assert len(healed) == warm.total
-
     def test_missing_manifest_raises_keyerror(self, tmp_path):
         with pytest.raises(KeyError, match="no manifest"):
             ResultStore(tmp_path / "store").read_manifest("ghost")
@@ -315,21 +296,6 @@ class TestStore:
         store = ResultStore(tmp_path / "store")
         assert store.list_campaigns() == []
         assert not (tmp_path / "store").exists()
-
-    def test_stale_index_entry_does_not_fake_a_store_hit(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        scenario = tiny_spec().expand()[0]
-        [record] = evaluate_scenarios([scenario])
-        store.put(record)
-        store.save_index()
-        # Prune the object but keep the index, as a partial copy would.
-        store._object_path(record["hash"]).unlink()
-        fresh = ResultStore(tmp_path / "store")
-        assert not fresh.has(record["hash"])
-        # A resumed run re-executes the scenario instead of skipping it.
-        resumed = run_campaign(tiny_spec(), fresh)
-        assert resumed.executed >= 1
-        assert fresh.has(record["hash"])
 
 
 class TestDeterminism:
@@ -340,9 +306,9 @@ class TestDeterminism:
         serial = run_campaign(spec, tmp_path / "serial")
         sharded = run_campaign(spec, tmp_path / "sharded", workers=3)
         assert serial.manifest_digest == sharded.manifest_digest
-        serial_bytes = (tmp_path / "serial" / "campaigns" / "tiny.json").read_bytes()
-        sharded_bytes = (tmp_path / "sharded" / "campaigns" / "tiny.json").read_bytes()
-        assert serial_bytes == sharded_bytes
+        serial_text = ResultStore(tmp_path / "serial").read_manifest_text("tiny")
+        sharded_text = ResultStore(tmp_path / "sharded").read_manifest_text("tiny")
+        assert serial_text == sharded_text
 
     def test_logic_campaign_serial_vs_sharded(self, tmp_path):
         spec = tiny_logic_spec()
@@ -366,7 +332,6 @@ class TestDeterminism:
         # Pre-populate half the scenarios, as an interrupted run would.
         for record in evaluate_scenarios(scenarios[: len(scenarios) // 2]):
             store.put(record)
-        store.save_index()
         resumed = run_campaign(spec, store)
         assert resumed.skipped == len(scenarios) // 2
         assert resumed.executed == len(scenarios) - len(scenarios) // 2
@@ -374,41 +339,40 @@ class TestDeterminism:
         cold = run_campaign(spec, tmp_path / "cold")
         assert resumed.manifest_digest == cold.manifest_digest
 
-    def test_warm_e3_resume_hits_store_and_is_5x_faster(self, tmp_path):
-        """The acceptance criterion on the built-in E3 hierarchy survey.
-
-        A re-run against a warm store must answer >= 95% of scenarios from
-        the store and finish >= 5x faster than the cold run (observed margin
-        is >= 13x, so the bar tolerates noisy CI neighbours).
-        """
-        import time
-
+    def test_warm_e3_resume_executes_and_writes_nothing(self, tmp_path, monkeypatch):
+        """A re-run of the built-in E3 hierarchy survey on a warm store is
+        answered by the store alone: no scenario runs and no record is
+        written, and the manifest is the cold run's.  (The ledger's
+        ``e3-warm`` workload measures how long that takes.)"""
         spec = builtin_spec("e3-hierarchy")
         store = ResultStore(tmp_path / "store")
-        started = time.perf_counter()
         cold = run_campaign(spec, store)
-        cold_wall = time.perf_counter() - started
 
-        started = time.perf_counter()
+        written = []
+        real_put_many = ResultStore.put_many
+
+        def counting_put_many(self, records, overwrite=False):
+            written.append(real_put_many(self, records, overwrite=overwrite))
+            return written[-1]
+
+        monkeypatch.setattr(ResultStore, "put_many", counting_put_many)
         warm = run_campaign(spec, store)
-        warm_wall = time.perf_counter() - started
-
-        assert warm.store_hit_rate >= 0.95
+        assert cold.executed == cold.total == 306
+        assert warm.executed == 0
+        assert warm.store_hit_rate == 1.0
         assert warm.manifest_digest == cold.manifest_digest
-        assert cold_wall / warm_wall >= 5.0, (
-            f"warm resume only {cold_wall / warm_wall:.1f}x faster "
-            f"(cold {cold_wall:.3f}s, warm {warm_wall:.3f}s)"
-        )
+        assert sum(written) == 0
 
-    @pytest.mark.parametrize("path", ["serial", "sharded", "service", "rerun"])
-    @pytest.mark.parametrize("scheme", ["json", "sqlite"])
+    @pytest.mark.parametrize("path", ["serial", "sharded", "service", "rerun", "migrated"])
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
-    def test_builtin_manifest_digests_are_pinned(self, tmp_path, name, scheme, path):
-        """The built-in campaigns' records are fixed: any execution path over
-        either backend reproduces the same manifest digest, byte for byte.
-        ``rerun`` re-evaluates a populated store (``resume=False``) on the
-        warm in-process tables the first run left behind."""
-        uri = f"{scheme}:{tmp_path / 'store'}"
+    def test_builtin_manifest_digests_are_pinned(self, tmp_path, name, path):
+        """The built-in campaigns' records are fixed: any execution path
+        reproduces the same manifest digest, byte for byte.  ``rerun``
+        re-evaluates a populated store (``resume=False``) on the warm
+        in-process tables the first run left behind; ``migrated`` exports
+        the store to the json layout, imports that into a fresh store and
+        reads the digest there."""
+        uri = tmp_path / "store"
         if path == "service":
             service = CampaignService(uri, workers=2)
             try:
@@ -427,6 +391,13 @@ class TestDeterminism:
                 rerun = run_campaign(builtin_spec(name), uri, resume=False, log=None)
                 assert rerun.executed == rerun.total
                 digest = rerun.manifest_digest
+            if path == "migrated":
+                exported = f"json:{tmp_path / 'export'}"
+                migrate_store(uri, exported)
+                migrate_store(exported, tmp_path / "imported")
+                digest = ResultStore(tmp_path / "imported").read_manifest(name)[
+                    "manifest_digest"
+                ]
         assert digest == PINNED_DIGESTS[name]
 
     def test_engine_knob_does_not_change_results(self, tmp_path):
@@ -630,9 +601,9 @@ class TestCli:
 
     def test_unknown_campaign_exits_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="unknown campaign"):
-            campaign_main(["--store", str(tmp_path), "run", "nope"])
+            campaign_main(["--store", str(tmp_path / "store"), "run", "nope"])
         with pytest.raises(SystemExit, match="no manifest"):
-            campaign_main(["--store", str(tmp_path), "report", "nope"])
+            campaign_main(["--store", str(tmp_path / "store"), "report", "nope"])
 
 
 class TestCorrespondenceCampaigns:
@@ -807,52 +778,6 @@ class TestSweepEngineCampaigns:
         serial = run_campaign(spec, tmp_path / "serial")
         sharded = run_campaign(spec, tmp_path / "sharded", workers=3)
         assert serial.manifest_digest == sharded.manifest_digest
-
-
-class TestIndexFlushAndRecovery:
-    """index.json is acceleration only: the object files carry the resume."""
-
-    def test_put_many_flushes_the_index_once(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path / "store")
-        scenarios = tiny_spec().expand()[:4]
-        records = evaluate_scenarios(scenarios)
-        flushes = {"n": 0}
-        real = ResultStore.save_index
-
-        def counting_save(self):
-            flushes["n"] += 1
-            return real(self)
-
-        monkeypatch.setattr(ResultStore, "save_index", counting_save)
-        assert store.put_many(records) == len(records)
-        assert flushes["n"] == 1
-        assert json.loads(store.index_path.read_text()).keys() == {
-            record["hash"] for record in records
-        }
-
-    def test_kill_mid_chunk_resumes_from_object_files_alone(self, tmp_path):
-        """A run killed mid-chunk leaves object files but no flushed index;
-        the objects alone must carry the resume and re-derive the index."""
-        spec = tiny_spec("killed")
-        scenarios = spec.expand()
-        store = ResultStore(tmp_path / "store")
-        for record in evaluate_scenarios(scenarios[:3]):
-            store.put(record)  # no save_index(): the process died mid-chunk
-        assert not store.index_path.exists()
-        fresh = ResultStore(tmp_path / "store")
-        resumed = run_campaign(spec, fresh)
-        assert resumed.skipped == 3
-        assert resumed.executed == len(scenarios) - 3
-        cold = run_campaign(spec.__class__.from_dict(spec.to_dict()), tmp_path / "cold")
-        assert resumed.manifest_digest == cold.manifest_digest
-        healed = json.loads(fresh.index_path.read_text())
-        assert len(healed) == len(scenarios)
-
-    def test_sharded_run_flushes_index_per_shard(self, tmp_path):
-        spec = tiny_spec("sharded-flush")
-        run_campaign(spec, tmp_path / "store", workers=2)
-        index = json.loads((tmp_path / "store" / "index.json").read_text())
-        assert len(index) == len(spec.expand())
 
 
 class TestWorkerMemo:

@@ -15,6 +15,7 @@ import json
 import os
 import signal
 import socket
+import sqlite3
 import struct
 import subprocess
 import sys
@@ -258,6 +259,62 @@ class TestServiceLifecycle:
             obs.disable()
             obs.REGISTRY.clear()
 
+    def test_a_failed_step_logs_one_warning_per_process(self, tmp_path, monkeypatch):
+        """A store write that fails after its only job was cancelled fails no
+        job, so nothing else logs it: the keep-alive logs one WARNING naming
+        the step and the error.  Later failures in the process only count."""
+        import logging
+
+        from repro import obs
+        from repro.campaign import executor
+
+        class Collect(logging.Handler):
+            def emit(self, record):
+                lines.append(record.getMessage())
+
+        lines: list[str] = []
+        handler = Collect(logging.WARNING)
+        started, release = threading.Event(), threading.Event()
+        real = executor.evaluate_scenarios
+
+        def held(scenarios):
+            started.set()
+            assert release.wait(60)
+            return real(scenarios)
+
+        def refuse(records, overwrite=False):
+            raise OSError("database is locked")
+
+        monkeypatch.setattr(executor, "_KEEPALIVE_WARNED", threading.Event())
+        monkeypatch.setattr(executor, "evaluate_scenarios", held)
+        obs.REGISTRY.clear()
+        obs.enable()
+        logging.getLogger("repro.campaign.service").addHandler(handler)
+        svc = CampaignService(str(tmp_path / "store"))
+        monkeypatch.setattr(svc.store, "put_many", refuse)
+        try:
+            cancelled = svc.submit(exec_spec("first", [4]))
+            assert started.wait(60)
+            assert svc.cancel(cancelled)
+            release.set()
+            failed = svc.submit(exec_spec("second", [5]))
+            assert svc.wait(failed, timeout=60)
+            assert svc.status(cancelled)["status"] == "cancelled"
+            assert "OSError: database is locked" in svc.status(failed)["error"]
+            assert svc.metrics_snapshot()["counters"]["fallback.campaign.fold"] == 2
+        finally:
+            svc.shutdown(wait=False)
+            logging.getLogger("repro.campaign.service").removeHandler(handler)
+            obs.disable()
+            obs.REGISTRY.clear()
+        keepalive = [line for line in lines if "loop kept alive" in line]
+        assert keepalive == [
+            f"dispatch step _settle failed for {cancelled}, loop kept alive: "
+            "OSError: database is locked"
+        ]
+        # The second job's failure still logs its own line.
+        assert any(line.startswith(f"fail {failed} ") for line in lines)
+
     def test_a_vanished_store_hit_fails_the_report_and_reruns_on_resubmit(self, service):
         # Store hits are read when the report is asked for, not at submit:
         # a record deleted in between surfaces as the store's KeyError.
@@ -267,7 +324,9 @@ class TestServiceLifecycle:
         assert service.wait(warm, timeout=120)
         assert service.status(warm)["store_hits"] == service.status(warm)["total"]
         gone = spec.expand()[0].content_hash()
-        (service.store.root / "objects" / gone[:2] / f"{gone}.json").unlink()
+        with sqlite3.connect(service.store.root) as conn:
+            conn.execute("DELETE FROM objects WHERE hash = ?", (gone,))
+        conn.close()
         with pytest.raises(KeyError, match=gone):
             service.result(warm)
         again = service.submit(spec)
@@ -414,27 +473,27 @@ class TestConcurrentClients:
 
 class TestDigestIdentityAcrossPaths:
     def test_every_path_yields_one_manifest_digest(self, tmp_path):
-        """Serial, sharded, service x {json, sqlite}: one digest."""
+        """Serial, sharded, service, on bare paths and sqlite: URIs: one digest."""
         spec = exec_spec()
         digests = {}
-        digests["json-serial"] = run_campaign(
+        digests["serial"] = run_campaign(
             spec, ResultStore(tmp_path / "a"), log=None
         ).manifest_digest
-        digests["json-sharded"] = run_campaign(
+        digests["sharded"] = run_campaign(
             spec, ResultStore(tmp_path / "b"), workers=2, log=None
         ).manifest_digest
-        digests["sqlite-serial"] = run_campaign(
+        digests["sqlite-uri-serial"] = run_campaign(
             spec, ResultStore(f"sqlite:{tmp_path / 'c.db'}"), log=None
         ).manifest_digest
-        for scheme, uri in (
-            ("json-service", str(tmp_path / "d")),
-            ("sqlite-service", f"sqlite:{tmp_path / 'e.db'}"),
+        for label, uri in (
+            ("service", str(tmp_path / "d")),
+            ("sqlite-uri-service", f"sqlite:{tmp_path / 'e.db'}"),
         ):
             svc = CampaignService(uri, workers=2)
             try:
                 job = svc.submit(spec)
                 assert svc.wait(job, timeout=120)
-                digests[scheme] = svc.status(job)["manifest_digest"]
+                digests[label] = svc.status(job)["manifest_digest"]
             finally:
                 svc.shutdown(wait=False)
         assert len(set(digests.values())) == 1, digests
@@ -537,7 +596,7 @@ class TestProtocol:
                 with pytest.raises(ServiceError, match="unknown job"):
                     client.cancel("job-404")
                 overview = client.status()
-                assert overview["backend"] == "json"
+                assert overview["backend"] == "sqlite"
                 assert len(overview["jobs"]) == 1
         finally:
             server.shutdown()

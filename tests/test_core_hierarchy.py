@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.hierarchy import (
     LEVEL_NAMES,
     LINEAR_ORDER,

@@ -7,13 +7,10 @@ import pytest
 from repro.algorithms.basic import BroadcastMinimumDegreeAlgorithm, PortEchoAlgorithm
 from repro.algorithms.leaf_election import LeafElectionAlgorithm
 from repro.core.simulations import (
-    MultisetBroadcastSimulationOfBroadcast,
-    MultisetSimulationOfVector,
     simulate_broadcast_with_multiset_broadcast,
     simulate_vector_with_multiset,
 )
 from repro.execution.runner import run
-from repro.execution.trace import message_size
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.graphs.ports import all_port_numberings, random_port_numbering
 from repro.machines.algorithm import BroadcastAlgorithm, Output, VectorAlgorithm

@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms.basic import GatherDegreesAlgorithm
 from repro.algorithms.parity import OddOddNeighboursAlgorithm
-from repro.core.simulations import SetSimulationOfMultiset, simulate_multiset_with_set
+from repro.core.simulations import simulate_multiset_with_set
 from repro.execution.adversary import port_numberings_to_check
 from repro.execution.runner import run
 from repro.graphs.generators import (
@@ -20,7 +20,6 @@ from repro.graphs.graph import Graph
 from repro.graphs.ports import random_port_numbering
 from repro.machines.algorithm import MultisetAlgorithm, Output
 from repro.machines.models import ReceiveMode, SendMode
-from repro.machines.multiset import FrozenMultiset
 
 
 class TwoRoundMultisetAlgorithm(MultisetAlgorithm):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.experiments import format_report
 from repro.experiments.__main__ import main as experiments_main
-from repro.experiments.registry import EXPERIMENTS, run_all_experiments, run_experiment
+from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.experiments.report import ExperimentResult
 
 

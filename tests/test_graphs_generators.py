@@ -15,7 +15,6 @@ from repro.graphs.generators import (
     grid_graph,
     hypercube_graph,
     matchless_regular_graph,
-    odd_odd_gadget_pair,
     path_graph,
     random_bounded_degree_graph,
     random_graph,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph, star_graph
-from repro.graphs.graph import Graph
 from repro.graphs.ports import (
     PortNumbering,
     all_port_numberings,

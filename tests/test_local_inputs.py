@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.execution.runner import run
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.logic.semantics import extension

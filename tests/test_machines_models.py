@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.machines.models import (
     ALGORITHM_MODELS,
     BROADCAST_MODEL,
@@ -12,7 +10,6 @@ from repro.machines.models import (
     SET_BROADCAST_MODEL,
     SET_MODEL,
     VECTOR_MODEL,
-    Model,
     ProblemClass,
     ReceiveMode,
     SendMode,

@@ -23,7 +23,7 @@ from repro.logic.syntax import (
     modal_depth,
 )
 from repro.machines.models import ProblemClass, ReceiveMode, SendMode
-from repro.modal.correspondence import algorithm_matches_formula, formula_output
+from repro.modal.correspondence import algorithm_matches_formula
 from repro.modal.formula_to_algorithm import FormulaAlgorithm, algorithm_for_formula
 from repro.problems.verification import worst_case_running_time
 
@@ -117,7 +117,10 @@ class TestAgreementWithSemantics:
         odd_degree = Prop("deg1") | Prop("deg3")
         # "an odd number of odd-degree neighbours" for maximum degree 3:
         # exactly 1 or exactly 3.
-        at_least = lambda k: GradedDiamond(odd_degree, grade=k, index=("*", "*"))
+
+        def at_least(k):
+            return GradedDiamond(odd_degree, grade=k, index=("*", "*"))
+
         formula = (at_least(1) & ~at_least(2)) | at_least(3)
         algorithm = algorithm_for_formula(formula, ProblemClass.MB)
         graph, first, second = odd_odd_gadget_pair()

@@ -52,7 +52,7 @@ from repro.algorithms.basic import (
 )
 from repro.algorithms.leaf_election import LeafElectionAlgorithm
 from repro.algorithms.parity import SomeOddNeighbourAlgorithm
-from repro.campaign.backends.base import record_digest
+from repro.campaign.backends import record_digest
 from repro.execution.engine import compile_instance
 from repro.execution.sweep import SweepStats, run_sweep
 from repro.graphs.generators import cycle_graph, random_regular_graph
@@ -545,7 +545,7 @@ class TestCampaignTelemetry:
         total = len(manifest["scenarios"])
         # Counters vs manifest: every scenario executed exactly once.
         assert snap["counters"]["campaign.scenarios.execution"] == total
-        assert snap["counters"]["store.json.records_written"] == total
+        assert snap["counters"]["store.sqlite.records_written"] == total
         assert store.count_records() == total
         # Trace vs manifest: the run span and the shard spans account for
         # every scenario; store spans account for every record written.
@@ -581,7 +581,7 @@ class TestCampaignTelemetry:
         sharded = obs.snapshot()
         for name in (
             "campaign.scenarios.execution",
-            "store.json.records_written",
+            "store.sqlite.records_written",
             "sweep.instances",
         ):
             assert serial["counters"][name] == sharded["counters"][name], name

@@ -15,7 +15,6 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.graphs.graph import Graph
 from repro.problems.base import enumerate_solutions, has_solution
 from repro.problems.classic import (
     DegreeLabelling,

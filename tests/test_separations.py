@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs.generators import cycle_graph, figure9_graph, matchless_regular_graph, star_graph
+from repro.graphs.generators import cycle_graph, figure9_graph, star_graph
 from repro.machines.models import ProblemClass
 from repro.separations import (
     all_separations,

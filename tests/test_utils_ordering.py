@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.machines.multiset import FrozenMultiset
 from repro.utils.ordering import canonical_key
 
