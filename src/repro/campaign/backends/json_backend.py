@@ -50,8 +50,9 @@ class JsonBackend:
     def put_many(self, records: Iterable[dict[str, Any]]) -> int:
         """Write the records not yet present and flush the index once.
 
-        A present object file wins (so an export can resume or merge);
-        returns how many records were written.
+        A present object file wins (so an export can resume or merge), and
+        is indexed if an earlier export died before its index flush; returns
+        how many records were written.
         """
         index_path = self.root / "index.json"
         if self._index is None:
@@ -60,14 +61,19 @@ class JsonBackend:
             except (FileNotFoundError, json.JSONDecodeError):
                 self._index = {}
         written = 0
+        healed = False
         for record in records:
             path = self._object_path(record["hash"])
             if path.exists():
+                if record["hash"] not in self._index:
+                    text = path.read_text()
+                    self._index[record["hash"]] = record_digest(decode_record(text, str(path)))
+                    healed = True
                 continue
             _atomic_write(path, json.dumps(record, indent=2, sort_keys=True))
             self._index[record["hash"]] = record_digest(record)
             written += 1
-        if written:
+        if written or healed:
             _atomic_write(index_path, json.dumps(self._index, indent=0, sort_keys=True))
         return written
 

@@ -10,6 +10,7 @@ trustworthy.
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -363,17 +364,24 @@ class TestDeterminism:
         assert warm.manifest_digest == cold.manifest_digest
         assert sum(written) == 0
 
-    @pytest.mark.parametrize("path", ["serial", "sharded", "service", "rerun", "migrated"])
+    @pytest.mark.parametrize(
+        "path", ["serial", "sharded", "service", "rerun", "resumed", "migrated", "cli"]
+    )
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
-    def test_builtin_manifest_digests_are_pinned(self, tmp_path, name, path):
+    def test_builtin_manifest_digests_are_pinned(self, tmp_path, capsys, name, path):
         """The built-in campaigns' records are fixed: any execution path
         reproduces the same manifest digest, byte for byte.  ``rerun``
         re-evaluates a populated store (``resume=False``) on the warm
-        in-process tables the first run left behind; ``migrated`` exports
-        the store to the json layout, imports that into a fresh store and
-        reads the digest there."""
+        in-process tables the first run left behind; ``resumed`` finishes a
+        run interrupted with about half its records committed; ``migrated``
+        exports the store to the json layout, imports that into a fresh
+        store and reads the digest there; ``cli`` is ``python -m
+        repro.campaign run <name>`` on a bare store path."""
         uri = tmp_path / "store"
-        if path == "service":
+        if path == "cli":
+            assert campaign_main(["--store", str(uri), "run", name, "--json"]) == 0
+            digest = json.loads(capsys.readouterr().out)["run"]["manifest_digest"]
+        elif path == "service":
             service = CampaignService(uri, workers=2)
             try:
                 job = service.submit(builtin_spec(name))
@@ -391,6 +399,18 @@ class TestDeterminism:
                 rerun = run_campaign(builtin_spec(name), uri, resume=False, log=None)
                 assert rerun.executed == rerun.total
                 digest = rerun.manifest_digest
+            if path == "resumed":
+                # Interrupted before the manifest, with the records whose
+                # hash ends in 0-7 lost.
+                with sqlite3.connect(uri) as conn:
+                    lost = conn.execute(
+                        "DELETE FROM objects WHERE substr(hash, 64) < '8'"
+                    ).rowcount
+                    conn.execute("DELETE FROM manifests")
+                conn.close()
+                resumed = run_campaign(builtin_spec(name), uri, log=None)
+                assert 0 < resumed.executed == lost < resumed.total
+                digest = resumed.manifest_digest
             if path == "migrated":
                 exported = f"json:{tmp_path / 'export'}"
                 migrate_store(uri, exported)

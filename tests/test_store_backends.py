@@ -382,6 +382,105 @@ class TestMigration:
             migrate_store(tmp_path / "seed.db", f"json:{root}")
 
 
+class TestJsonLayout:
+    """The json layout ``migrate`` writes and reads: one object file per
+    record, whose bytes verification reads, and ``index.json``, flushed once
+    per batch and healed when an export is resumed."""
+
+    @pytest.fixture
+    def layout(self, tmp_path):
+        return JsonBackend(tmp_path / "export")
+
+    @pytest.fixture
+    def index_flushes(self, monkeypatch):
+        """The indexes ``put_many`` writes, in order."""
+        from repro.campaign.backends import json_backend
+
+        flushes = []
+        real = json_backend._atomic_write
+
+        def recording(path, text):
+            if path.name == "index.json":
+                flushes.append(json.loads(text))
+            real(path, text)
+
+        monkeypatch.setattr(json_backend, "_atomic_write", recording)
+        return flushes
+
+    def test_put_many_counts_only_new_records(self, layout):
+        first = [fake_record(i) for i in range(4)]
+        assert layout.put_many(first) == 4
+        changed = dict(first[0], result={"output_digest": "changed"})
+        assert layout.put_many([changed, fake_record(9)]) == 1
+        assert next(layout.iter_records()) == first[0]  # the present file wins
+
+    def test_iter_records_streams_everything_in_hash_order(self, layout):
+        records = [fake_record(i) for i in (3, 0, 4, 1, 2)]
+        layout.put_many(records)
+        assert list(layout.iter_records()) == sorted(records, key=lambda r: r["hash"])
+
+    def test_record_digests_are_read_from_the_object_files(self, layout):
+        records = [fake_record(i) for i in range(3)]
+        layout.put_many(records)
+        hashes = [r["hash"] for r in reversed(records)]
+        assert layout.record_digests_of(hashes) == [record_digest(r) for r in reversed(records)]
+        # A file edited behind the index's back: its digest follows the file.
+        edited = dict(records[1], result={"output_digest": "edited"})
+        layout._object_path(edited["hash"]).write_text(json.dumps(edited))
+        assert layout.record_digests_of([edited["hash"]]) == [record_digest(edited)]
+
+    def test_missing_records_raise_keyerror(self, layout):
+        layout.put_many([fake_record(1)])
+        with pytest.raises(KeyError, match="f" * 64):
+            layout.record_digests_of([fake_record(1)["hash"], "f" * 64])
+
+    def test_missing_manifest_names_the_layout(self, layout):
+        with pytest.raises(KeyError, match=re.escape(f"'ghost' in {layout.uri}")):
+            layout.read_manifest_text("ghost")
+        assert layout.list_campaigns() == []
+
+    def test_put_many_flushes_the_index_once(self, layout, index_flushes):
+        records = [fake_record(i) for i in range(4)]
+        assert layout.put_many(records) == 4
+        assert index_flushes == [{r["hash"]: record_digest(r) for r in records}]
+
+    def test_all_hit_put_many_skips_the_index_flush(self, layout, index_flushes):
+        records = [fake_record(i) for i in range(3)]
+        layout.put_many(records)
+        assert JsonBackend(layout.root).put_many(records) == 0
+        assert len(index_flushes) == 1
+
+    def test_empty_put_many_writes_nothing(self, layout, index_flushes):
+        assert layout.put_many([]) == 0
+        assert index_flushes == []
+        assert not layout.root.exists()
+
+    def test_an_import_reads_the_object_files_alone(self, tmp_path):
+        spec = small_spec()
+        root, digest = json_export(tmp_path, spec)
+        (root / "index.json").unlink()
+        report = migrate_store(f"json:{root}", tmp_path / "imported")
+        assert report["records_copied"] == len(spec.expand())
+        assert report["campaigns"] == [{"campaign": spec.name, "manifest_digest": digest}]
+
+    def test_a_killed_export_resumes_and_heals_the_index(self, tmp_path):
+        """An export killed mid-batch leaves object files but neither their
+        index entries nor the manifests; exporting again writes only what is
+        missing and indexes every object file."""
+        spec = small_spec()
+        root, digest = json_export(tmp_path, spec)
+        index = json.loads((root / "index.json").read_text())
+        victim = spec.expand()[0].content_hash()
+        (root / "index.json").unlink()
+        (root / "objects" / victim[:2] / f"{victim}.json").unlink()
+        (root / "campaigns" / f"{spec.name}.json").unlink()
+        report = migrate_store(tmp_path / "seed.db", f"json:{root}")
+        assert report["records_copied"] == 1
+        assert report["records_already_present"] == len(spec.expand()) - 1
+        assert report["campaigns"] == [{"campaign": spec.name, "manifest_digest": digest}]
+        assert json.loads((root / "index.json").read_text()) == index
+
+
 class TestStoresFromOlderVersions:
     """Older versions cached kernel plans beside the records: an ``artifacts``
     table in sqlite stores, an ``artifacts/plan/`` tree in json stores.  No
