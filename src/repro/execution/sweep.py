@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Any
 
-from repro.graphs.graph import Node
+from repro.graphs.graph import Graph, Node
 from repro.machines.algorithm import NO_MESSAGE, Algorithm, Output
 from repro.machines.fastpath import FastPathAlgorithm, fast_path
 from repro.machines.models import ReceiveMode, SendMode
@@ -428,9 +428,9 @@ def run_sweep(
 
     Parameters are as in :func:`repro.execution.engine.run_many`; results are
     returned in input order and are node-for-node identical to the compiled
-    engine's.  Instances are grouped by their shared compiled topology, so a
-    sweep may mix graphs (each group still executes over the same global
-    interning tables, which is where the cross-instance deduplication lives).
+    engine's.  Instances are grouped by graph, so a sweep may mix graphs
+    (each group still executes over the same global interning tables, which
+    is where the cross-instance deduplication lives).
     The whole sweep runs in this process.  ``stats``, when given,
     accumulates a :class:`SweepStats` work account.  The other engines,
     oracles included, are selected through ``run_many``'s ``engine`` knob.
@@ -460,13 +460,15 @@ def run_batch(
 ) -> list[ExecutionResult]:
     """The batch entry point shared by the superposed and the vector kernels.
 
-    Compiles the instances, groups them by shared topology (identity of the
-    numbering-independent compiled graph, kept alive by the instances
-    themselves) and keeps one representative per delivery signature in each
-    group (see :func:`delivery_signature_of`).  ``kernel(fast, tables,
+    Compiles the instances, groups them by graph and keeps one
+    representative per delivery signature in each group (see
+    :func:`delivery_signature_of`).  Graphs hash and compare by content (the
+    hash is cached), so equal graphs share one group even when a collection
+    between two compilations left them with distinct compiled topologies,
+    which hold the same data.  ``kernel(fast, tables,
     interner, compiled, inputs, layout, max_rounds)`` then runs the
     representatives: ``layout`` holds one ``(executed, duplicates)`` pair of
-    batch indices per topology group, ``interner`` is
+    batch indices per group, ``interner`` is
     :func:`bind_interner`'s tuple, and the kernel returns ``(finals,
     evaluations)`` -- ``finals[index] = (state ids, rounds, halted,
     walked)`` for every representative, and how many configurations it
@@ -496,9 +498,9 @@ def run_batch(
     states_before = len(tables.state_values)
     messages_before = len(tables.msg_values)
 
-    groups: dict[int, list[int]] = {}
+    groups: dict[Graph, list[int]] = {}
     for index, instance in enumerate(compiled):
-        groups.setdefault(id(instance.topology), []).append(index)
+        groups.setdefault(instance.graph, []).append(index)
     layout: list[tuple[list[int], list[tuple[int, int]]]] = []
     for indices in groups.values():
         signature_of = delivery_signature_of(

@@ -30,7 +30,8 @@ inputs (campaign formula sets parse the same strings per scenario).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from collections.abc import Callable
+from functools import lru_cache, partial
 from typing import Any
 
 from repro.logic.syntax import (
@@ -73,7 +74,16 @@ def _tokenise(text: str) -> list[str]:
     return tokens
 
 
+#: The binary connectives: constructor and binding strength.  ``->`` binds
+#: loosest and groups to the right; ``|`` and ``&`` group to the left.
+_BINARY = {"->": (Implies, 1), "|": (Or, 2), "&": (And, 3)}
+
+
 class _Parser:
+    """Operator-precedence parsing of the grammar above on explicit operand
+    and operator stacks, so no nesting depth overflows the recursion limit
+    (the Table 4/5 formulas nest far deeper than it)."""
+
     def __init__(self, tokens: list[str]) -> None:
         self._tokens = tokens
         self._position = 0
@@ -98,43 +108,58 @@ class _Parser:
     # -------------------------------------------------------------- #
 
     def parse_formula(self) -> Formula:
-        formula = self.parse_implication()
-        if self.peek() is not None:
-            raise FormulaParseError(f"trailing tokens starting at {self.peek()!r}")
-        return formula
-
-    def parse_implication(self) -> Formula:
-        left = self.parse_disjunction()
-        if self.peek() == "->":
+        operands: list[Formula] = []
+        # Pending operators: binary connectives, open groups ``'('`` and
+        # prefix constructors (``~``, diamonds, boxes) awaiting an operand.
+        operators: list[Any] = []
+        groups = 0
+        while True:
+            # One unary: prefix operators and open groups, then an atom.
+            token = self.advance()
+            while token in ("(", "~", "<", "["):
+                if token == "(":
+                    groups += 1
+                    operators.append(token)
+                else:
+                    operators.append(self.parse_prefix(token))
+                token = self.advance()
+            operands.append(self.parse_atom(token))
+            # Apply the prefix operators that bind the operand just built,
+            # closing each group it ends.
+            while True:
+                while operators and callable(operators[-1]):
+                    operands.append(operators.pop()(operands.pop()))
+                token = self.peek()
+                if token != ")" or not groups:
+                    break
+                self.advance()
+                self._reduce(operands, operators, 0)
+                operators.pop()
+                groups -= 1
+            if token not in _BINARY:
+                break
             self.advance()
-            right = self.parse_implication()
-            return Implies(left, right)
-        return left
+            strength = _BINARY[token][1]
+            # A pending ``->`` of equal strength stays: it groups to the right.
+            self._reduce(operands, operators, strength + 1 if token == "->" else strength)
+            operators.append(token)
+        if groups:
+            self.expect(")")
+        if token is not None:
+            raise FormulaParseError(f"trailing tokens starting at {token!r}")
+        self._reduce(operands, operators, 0)
+        return operands[0]
 
-    def parse_disjunction(self) -> Formula:
-        result = self.parse_conjunction()
-        while self.peek() == "|":
-            self.advance()
-            result = Or(result, self.parse_conjunction())
-        return result
-
-    def parse_conjunction(self) -> Formula:
-        result = self.parse_unary()
-        while self.peek() == "&":
-            self.advance()
-            result = And(result, self.parse_unary())
-        return result
-
-    def parse_unary(self) -> Formula:
-        token = self.peek()
-        if token == "~":
-            self.advance()
-            return Not(self.parse_unary())
-        if token == "<":
-            return self.parse_diamond()
-        if token == "[":
-            return self.parse_box()
-        return self.parse_atom()
+    @staticmethod
+    def _reduce(operands: list[Formula], operators: list[Any], strength: int) -> None:
+        """Apply the pending binary connectives that bind at least ``strength``."""
+        while operators and operators[-1] in _BINARY:
+            constructor, binding = _BINARY[operators[-1]]
+            if binding < strength:
+                return
+            operators.pop()
+            right = operands.pop()
+            operands[-1] = constructor(operands[-1], right)
 
     def parse_index(self, closing: str) -> Any:
         parts: list[Any] = []
@@ -154,8 +179,14 @@ class _Parser:
             return parts[0]
         return tuple(parts)
 
-    def parse_diamond(self) -> Formula:
-        self.expect("<")
+    def parse_prefix(self, token: str) -> Callable[[Formula], Formula]:
+        """The constructor of the prefix operator that ``token`` opens."""
+        if token == "~":
+            return Not
+        if token == "[":
+            index = self.parse_index("]")
+            self.expect("]")
+            return partial(Box, index=index)
         index = self.parse_index(">")
         self.expect(">")
         if self.peek() == ">=":
@@ -163,21 +194,10 @@ class _Parser:
             grade_token = self.advance()
             if not grade_token.isdigit():
                 raise FormulaParseError(f"expected a grade after '>=', found {grade_token!r}")
-            return GradedDiamond(self.parse_unary(), grade=int(grade_token), index=index)
-        return Diamond(self.parse_unary(), index=index)
+            return partial(GradedDiamond, grade=int(grade_token), index=index)
+        return partial(Diamond, index=index)
 
-    def parse_box(self) -> Formula:
-        self.expect("[")
-        index = self.parse_index("]")
-        self.expect("]")
-        return Box(self.parse_unary(), index=index)
-
-    def parse_atom(self) -> Formula:
-        token = self.advance()
-        if token == "(":
-            inner = self.parse_implication()
-            self.expect(")")
-            return inner
+    def parse_atom(self, token: str) -> Formula:
         if token == "true":
             return Top()
         if token == "false":

@@ -67,11 +67,13 @@ class FormulaPool:
       tree would have billions of nodes).
 
     The pool only ever grows: node ids stay valid for the lifetime of the
-    process, which is what lets compiled engines key caches by id.
+    process, which is what lets compiled engines key caches by id.  It is
+    also why :meth:`dag_size` is memoized per root: the nodes reachable from
+    a root never change.
     """
 
     __slots__ = ("_intern", "nodes", "kinds", "children", "payloads",
-                 "tree_sizes", "modal_depths")
+                 "tree_sizes", "modal_depths", "_dag_sizes")
 
     def __init__(self) -> None:
         self._intern: dict[tuple, "Formula"] = {}
@@ -81,6 +83,7 @@ class FormulaPool:
         self.payloads: list[tuple] = []
         self.tree_sizes: list[int] = []
         self.modal_depths: list[int] = []
+        self._dag_sizes: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -134,7 +137,10 @@ class FormulaPool:
 
     def dag_size(self, root: int) -> int:
         """The number of distinct subformulas (shared nodes counted once)."""
-        return len(self.reachable_ids(root))
+        size = self._dag_sizes.get(root)
+        if size is None:
+            size = self._dag_sizes[root] = len(self.reachable_ids(root))
+        return size
 
     def stats(self) -> dict[str, int]:
         """Pool-wide counters (size, interning table size)."""

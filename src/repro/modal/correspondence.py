@@ -29,8 +29,11 @@ optionally against the seed formula-algorithm as a differential oracle.
 The oracle runs on every instance, memoized: :func:`roundtrip_algorithms`
 builds the three algorithms once as memoizing fast-path wrappers, so the
 seed loop evaluates each distinct initial state and transition once per
-report (or once per campaign worker).  The campaign subsystem's
-``correspondence`` scenario kind and experiment E4 both run on it.
+report.  Experiment E4 runs the round trip with the oracle.  The campaign
+subsystem's ``correspondence`` scenario kind runs it without
+(``cross_check=False``): the seed engine is a test oracle, and a tier-1
+test runs it over every scenario of the built-in ``e2-correspondence``
+campaign.
 """
 
 from __future__ import annotations

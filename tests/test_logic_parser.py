@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.logic.parser import FormulaParseError, parse_formula
@@ -17,6 +19,9 @@ from repro.logic.syntax import (
     Prop,
     Top,
 )
+from repro.machines.library import reference_machine
+from repro.machines.models import ProblemClass
+from repro.modal.algorithm_to_formula import formula_for_machine
 
 
 class TestAtoms:
@@ -89,3 +94,34 @@ class TestErrors:
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(FormulaParseError):
             parse_formula(text)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    previous = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(previous)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestDeepFormulas:
+    """The Table 4/5 formulas nest far deeper than the recursion limit, and
+    their printed text still parses back to the interned formula."""
+
+    @staticmethod
+    def parity_formula(problem_class, delta):
+        machine = reference_machine(problem_class, delta, rounds=1)
+        return formula_for_machine(machine, problem_class, 1)
+
+    def test_the_one_round_vv_formula_at_delta_3(self):
+        formula = self.parity_formula(ProblemClass.VV, 3)
+        text = str(formula)
+        assert len(text) > 70_000
+        assert parse_formula(text) is formula
+
+    @pytest.mark.parametrize("delta", [2, 3])
+    @pytest.mark.parametrize("problem_class", list(ProblemClass), ids=str)
+    def test_library_parity_formulas_round_trip(self, problem_class, delta):
+        formula = self.parity_formula(problem_class, delta)
+        assert parse_formula(str(formula)) is formula

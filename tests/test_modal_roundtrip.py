@@ -138,6 +138,50 @@ def test_seed_oracle_evaluates_each_distinct_input_once(monkeypatch):
     assert len(transitions) == len(set(transitions))
 
 
+def test_seed_oracle_agrees_on_every_e2_scenario():
+    """The seed formula-algorithm's coverage of the ``e2-correspondence``
+    campaign, whose records run without it: every scenario's instance, on
+    the graph and numbering the executor materializes for it, one report per
+    ``(machine, class, Delta, engine, max_rounds)`` coordinate."""
+    from repro.campaign import builtin_spec, executor, registry
+
+    groups: dict[tuple, list] = {}
+    executor.clear_worker_memo()
+    try:
+        for scenario in builtin_spec("e2-correspondence").expand():
+            graph, numbering = executor._materialize(scenario)
+            key = (
+                scenario.machine or registry.DEFAULT_MACHINE,
+                scenario.model_class,
+                max(graph.max_degree(), 1),
+                scenario.engine,
+                scenario.max_rounds,
+            )
+            groups.setdefault(key, []).append((graph, numbering))
+    finally:
+        executor.clear_worker_memo()
+    assert len(groups) == 18
+    total = 0
+    for (name, model_class, delta, engine, max_rounds), group in sorted(groups.items()):
+        workload = registry.machine_workload(name)
+        problem_class = ProblemClass(model_class)
+        report = machine_roundtrip_report(
+            workload.build(problem_class, delta),
+            problem_class,
+            workload.running_time,
+            pairs=group,
+            engine=engine,
+            max_rounds=max_rounds,
+            max_formula_nodes=executor.CORRESPONDENCE_NODE_BUDGET,
+        )
+        coordinate = (name, model_class, delta)
+        assert report.oracle_checked, coordinate
+        assert report.agree, (coordinate, report.first_disagreement)
+        assert report.instances == len(group), coordinate
+        total += report.instances
+    assert total == 114
+
+
 class TestDisagreementWitness:
     """A wrong algorithm on either checked front is caught and shown."""
 

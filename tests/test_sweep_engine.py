@@ -290,6 +290,36 @@ class TestBatchShapes:
         compiled = run_many(algorithm, instances, memoize_transitions=True)
         assert_identical(swept, compiled)
 
+    def test_a_collection_mid_batch_keeps_one_group_per_graph(self):
+        """The compiled-topology cache keys by graph equality and belongs to
+        whichever equal graph compiled first.  When that graph is collected
+        between two compilations, the later numberings of an equal graph get
+        a second topology object; the batch must still run as one group, so
+        its work does not depend on when a collection happened."""
+        import gc
+
+        from repro.algorithms.basic import GatherDegreesAlgorithm
+        from repro.graphs.graph import Graph
+
+        def cycle():
+            # Labels no other live graph uses, so ``first`` owns the entry.
+            nodes = [("collected-mid-batch", i) for i in range(4)]
+            return Graph(nodes, [(nodes[i], nodes[i - 1]) for i in range(4)])
+
+        first = cycle()
+        compile_instance(first)
+        graph = cycle()
+        instances = []
+        for numbering in all_port_numberings(graph):
+            instances.append(compile_instance((graph, numbering)))
+            if first is not None:
+                first = None
+                gc.collect()
+        assert len({id(instance.topology) for instance in instances}) == 2
+        stats = SweepStats()
+        run_sweep(GatherDegreesAlgorithm(), instances, require_halt=False, stats=stats)
+        assert (stats.naive_occurrences, stats.executed, stats.evaluations) == (1_024, 16, 1)
+
     def test_mixed_degrees_with_degree_sensitive_send(self):
         """Regression: a send rule that indexes per-port state data must not
         be evaluated for states interned by nodes of a different degree --
