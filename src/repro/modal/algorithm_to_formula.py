@@ -20,9 +20,13 @@ construction is syntactic.  The emitted formula, however, is a node of the
 hash-consed pool (:mod:`repro.logic.syntax`): the ``phi``/``theta`` subterms
 that every spec repeats are memoised (``theta`` by ``(message, port, time)``
 on top of the pool's structural dedup), so the construction materialises one
-DAG node per *distinct* subterm.  Machines whose Table 4/5 tree has millions
-of nodes compile to DAGs orders of magnitude smaller and evaluate on the
-compiled bitset checker without ever expanding the tree.
+DAG node per *distinct* subterm.  ``psi`` is the disjunction of ``phi_{z,T}``
+over the accepting states only, so the last round builds just those and the
+received-message conditions of the transitions into them: a compilation grows
+the pool by about the DAG it returns (VV at ``Delta = 4``: 37,762 nodes for a
+37,760-node DAG).  Machines whose Table 4/5 tree has millions of nodes compile
+to DAGs orders of magnitude smaller and evaluate on the compiled bitset
+checker without ever expanding the tree.
 
 Infeasible coordinates fail fast instead of hanging:
 :func:`predict_formula_nodes` computes (exactly, with big ints) the number
@@ -54,6 +58,7 @@ from repro.logic.syntax import (
 from repro.machines.models import ProblemClass, ReceiveMode, SendMode
 from repro.machines.state_machine import FiniteStateMachine
 from repro.modal.encoding import STAR, degree_proposition
+from repro.obs import metrics as _metrics
 
 #: Default budget on the pool nodes one compilation may allocate.  Roughly
 #: bounds both construction time and memory (a pool node costs a few hundred
@@ -214,6 +219,13 @@ def formula_for_machine(
 ) -> Formula:
     """The formula ``psi`` capturing the algorithm's output-1 set (Theorem 2).
 
+    Rounds ``1..T-1`` build ``phi_{z,t}`` for every state ``z``.  Round ``T``
+    builds ``phi_{z,T}`` only for the accepting stopping states, whose
+    disjunction is ``psi``, and a received-message condition only when a
+    transition into one of them uses it, so the pool grows by about
+    ``dag_size(psi)``.  A transition into a state the machine does not
+    declare raises ``ValueError``.
+
     Parameters
     ----------
     machine:
@@ -253,6 +265,7 @@ def formula_for_machine(
     intermediate = sorted(machine.intermediate_states, key=repr)
     stopping = sorted(machine.stopping_states, key=repr)
     all_states = intermediate + stopping
+    declared = machine.all_states()
 
     # phi[(state, t)]: "the node is in this state at time t".
     phi: dict[tuple[Any, int], Formula] = {}
@@ -290,50 +303,41 @@ def formula_for_machine(
             )
         return result
 
-    def next_state(state: Any, padded: tuple[Any, ...]) -> Any:
-        if state in machine.stopping_states:
-            return state
-        return machine.transition_table(state, padded)
+    def spec_vector(spec: tuple, degree: int) -> tuple[Any, ...]:
+        """The padded message vector that ``spec`` hands to the machine."""
+        if model.send is SendMode.PORT:
+            return _pad([message for message, _ in spec], degree, delta, machine.no_message)
+        return _pad(list(spec), degree, delta, machine.no_message)
 
-    def spec_condition_and_vector(
-        spec: tuple, degree: int, time: int
-    ) -> tuple[Formula, tuple[Any, ...]]:
-        """The condition formula and the padded vector described by ``spec``."""
+    def spec_condition(spec: tuple, time: int) -> Formula:
+        """The modal condition asserting that ``spec`` occurred in round ``time``."""
         receive, send = model.receive, model.send
         if receive is ReceiveMode.VECTOR and send is SendMode.PORT:
-            condition = conjunction(
+            return conjunction(
                 Diamond(theta(message, out_port, time), index=(in_port, out_port))
                 for in_port, (message, out_port) in enumerate(spec, start=1)
             )
-            vector = _pad([message for message, _ in spec], degree, delta, machine.no_message)
-            return condition, vector
         if receive is ReceiveMode.VECTOR and send is SendMode.BROADCAST:
-            condition = conjunction(
+            return conjunction(
                 Diamond(theta(message, 1, time), index=(in_port, STAR))
                 for in_port, message in enumerate(spec, start=1)
             )
-            vector = _pad(list(spec), degree, delta, machine.no_message)
-            return condition, vector
         if receive is ReceiveMode.MULTISET and send is SendMode.PORT:
             counts: dict[tuple[Any, int], int] = {}
             for cell in spec:
                 counts[cell] = counts.get(cell, 0) + 1
-            condition = conjunction(
+            return conjunction(
                 GradedDiamond(theta(message, out_port, time), grade=count, index=(STAR, out_port))
                 for (message, out_port), count in sorted(counts.items(), key=repr)
             )
-            vector = _pad([message for message, _ in spec], degree, delta, machine.no_message)
-            return condition, vector
         if receive is ReceiveMode.MULTISET and send is SendMode.BROADCAST:
             message_counts: dict[Any, int] = {}
             for message in spec:
                 message_counts[message] = message_counts.get(message, 0) + 1
-            condition = conjunction(
+            return conjunction(
                 GradedDiamond(theta(message, 1, time), grade=count, index=(STAR, STAR))
                 for message, count in sorted(message_counts.items(), key=repr)
             )
-            vector = _pad(list(spec), degree, delta, machine.no_message)
-            return condition, vector
         if receive is ReceiveMode.SET and send is SendMode.PORT:
             present = set(spec)
             absent = [
@@ -341,7 +345,7 @@ def formula_for_machine(
                 for cell in itertools.product(messages, range(1, delta + 1))
                 if cell not in present
             ]
-            condition = conjunction(
+            return conjunction(
                 itertools.chain(
                     (
                         Diamond(theta(message, out_port, time), index=(STAR, out_port))
@@ -353,12 +357,10 @@ def formula_for_machine(
                     ),
                 )
             )
-            vector = _pad([message for message, _ in spec], degree, delta, machine.no_message)
-            return condition, vector
         # Set receive, broadcast send (SB).
         present_messages = set(spec)
         absent_messages = [message for message in messages if message not in present_messages]
-        condition = conjunction(
+        return conjunction(
             itertools.chain(
                 (
                     Diamond(theta(message, 1, time), index=(STAR, STAR))
@@ -370,8 +372,6 @@ def formula_for_machine(
                 ),
             )
         )
-        vector = _pad(list(spec), degree, delta, machine.no_message)
-        return condition, vector
 
     def specs_for_degree(degree: int) -> Iterator[tuple]:
         receive, send = model.receive, model.send
@@ -398,38 +398,62 @@ def formula_for_machine(
                     grown, 0, max_formula_nodes, f"live pool growth at {where}"
                 )
 
+    # psi is the disjunction of phi_{z,T} over the accepting states, so the
+    # last round builds those and nothing that only other states would reach.
+    accepting = [state for state in stopping if machine.output_map(state) == accepting_output]
+    rows: dict[int, tuple[Formula, list[tuple]]] = {}
+
+    def row(degree: int) -> tuple[Formula, list[tuple]]:
+        """The degree guard and the ``(spec, padded vector)`` pairs of ``degree``.
+
+        A padded vector depends on neither the state nor the round, so each
+        row is built once, on first use: only if some intermediate state is
+        there to use it, and never before the live guard has seen the
+        smaller degrees' growth.
+        """
+        result = rows.get(degree)
+        if result is None:
+            result = rows[degree] = (
+                _degree_formula(degree, delta),
+                [(spec, spec_vector(spec, degree)) for spec in specs_for_degree(degree)],
+            )
+        return result
+
     # Build phi for t = 1..T.
     for time in range(1, running_time + 1):
-        accumulator: dict[Any, list[Formula]] = {state: [] for state in all_states}
+        targets = accepting if time == running_time else all_states
+        accumulator: dict[Any, list[Formula]] = {state: [] for state in targets}
         # A halted node stays halted, no matter what it receives.
         for state in stopping:
-            accumulator[state].append(phi[(state, time - 1)])
-        # A received-message condition does not depend on the state, so each
-        # degree's (guard, [(condition, vector), ...]) row is built once per
-        # round -- and only if some intermediate state is there to use it.
-        rows: list[tuple[Formula, list[tuple[Formula, tuple[Any, ...]]]]] = []
-        if intermediate:
-            for degree in range(0, delta + 1):
-                degree_guard = _degree_formula(degree, delta)
-                conditions = [
-                    spec_condition_and_vector(spec, degree, time)
-                    for spec in specs_for_degree(degree)
-                ]
-                rows.append((degree_guard, conditions))
-                check_pool_growth(f"t={time}, degree={degree}")
+            if state in accumulator:
+                accumulator[state].append(phi[(state, time - 1)])
+        # A received-message condition does not depend on the state: it is
+        # built on its first use in the round and reused by every later state.
+        conditions: dict[tuple, Formula] = {}
         for state in intermediate:
             previous = phi[(state, time - 1)]
-            for degree, (degree_guard, conditions) in enumerate(rows):
-                for condition, vector in conditions:
-                    accumulator[next_state(state, vector)].append(
-                        And(And(degree_guard, previous), condition)
-                    )
+            for degree in range(0, delta + 1):
+                degree_guard, specs = row(degree)
+                guarded = And(degree_guard, previous)
+                for spec, vector in specs:
+                    target = machine.transition_table(state, vector)
+                    terms = accumulator.get(target)
+                    if terms is None:
+                        if target not in declared:
+                            raise ValueError(
+                                f"state {state!r} moves to the undeclared state "
+                                f"{target!r} on {vector!r}"
+                            )
+                        continue
+                    condition = conditions.get(spec)
+                    if condition is None:
+                        condition = conditions[spec] = spec_condition(spec, time)
+                    terms.append(And(guarded, condition))
                 check_pool_growth(f"t={time}, state={state!r}, degree={degree}")
-        for state in all_states:
+        for state in targets:
             phi[(state, time)] = disjunction(accumulator[state])
 
-    return disjunction(
-        phi[(state, running_time)]
-        for state in stopping
-        if machine.output_map(state) == accepting_output
-    )
+    psi = disjunction(phi[(state, running_time)] for state in accepting)
+    if _metrics.enabled():
+        _metrics.counter("formula.emit.nodes").inc(len(pool) - pool_start)
+    return psi

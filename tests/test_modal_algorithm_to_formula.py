@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
@@ -112,6 +114,17 @@ class TestBasicProperties:
     def test_negative_running_time_rejected(self):
         with pytest.raises(ValueError):
             formula_for_machine(_some_odd_neighbour_machine(), ProblemClass.SB, running_time=-1)
+
+    @pytest.mark.parametrize("running_time", [1, 2])
+    def test_a_transition_into_an_undeclared_state_is_rejected(self, running_time):
+        """Loudly, in the last round (which skips non-accepting targets) and
+        in an earlier one."""
+        machine = dataclasses.replace(
+            _some_odd_neighbour_machine(),
+            transition_table=lambda state, vector: "lost" if "O" in set(vector) else 0,
+        )
+        with pytest.raises(ValueError, match="undeclared state 'lost'"):
+            formula_for_machine(machine, ProblemClass.SB, running_time=running_time)
 
 
 class TestCorrectnessPerClass:

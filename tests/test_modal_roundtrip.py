@@ -12,6 +12,7 @@ node budget (:class:`FormulaSizeError`).
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import os
 import subprocess
@@ -30,7 +31,9 @@ from repro.logic.syntax import (
     Prop,
     Top,
     dag_size,
+    formula_pool,
     modal_depth,
+    topological_ids,
     tree_size,
 )
 from repro.machines.algorithm import Output, VectorAlgorithm
@@ -180,6 +183,26 @@ def test_seed_oracle_agrees_on_every_e2_scenario():
         assert report.instances == len(group), coordinate
         total += report.instances
     assert total == 114
+
+
+#: The ``e2-correspondence`` manifest digest.  Records hold each round trip's
+#: agreement flags and formula sizes, so an emission that changes either on
+#: any scenario moves it.  CI checks the same digest on a sharded CLI run.
+E2_MANIFEST_DIGEST = "7b71434b523067942284e30bbbc0905669789669e7c813bc5a1a2c01fe6a58a5"
+
+
+def test_e2_manifest_digest_is_pinned(tmp_path):
+    """A serial in-process ``e2-correspondence`` run, with an empty worker
+    memo so that every formula is emitted here."""
+    from repro.campaign import builtin_spec, executor, run_campaign
+
+    executor.clear_worker_memo()
+    try:
+        run = run_campaign(builtin_spec("e2-correspondence"), tmp_path / "store", log=None)
+    finally:
+        executor.clear_worker_memo()
+    assert run.executed == run.total == 114
+    assert run.manifest_digest == E2_MANIFEST_DIGEST
 
 
 class TestDisagreementWitness:
@@ -432,8 +455,43 @@ class TestFormulaSizeBudget:
         assert proc.returncode == 0, proc.stderr
         predicted, specs, grown = map(int, proc.stdout.split())
         assert 0 < grown <= predicted
-        assert grown == 74
+        assert grown == 41
         assert specs > 0
+
+    @pytest.mark.parametrize(
+        "name, delta, rounds, grown, dag",
+        [("VV", 3, 1, 1_403, 1_401), ("VV", 2, 2, 690, 688)],
+    )
+    def test_the_pool_grows_by_about_the_returned_dag(self, name, delta, rounds, grown, dag):
+        """The last round builds only what ``psi`` reaches.
+
+        The two extra nodes are the guard conjunctions of ``(state, degree)``
+        pairs with no transition into an accepting state.  Building every
+        state's last-round formula grew the pool by 4,138 and 945 nodes.  Run
+        in a fresh interpreter, where the pool is empty, so interning cannot
+        hide any growth.
+        """
+        code = textwrap.dedent(
+            f"""
+            from repro.logic.syntax import dag_size, formula_pool
+            from repro.machines.library import reference_machine
+            from repro.machines.models import ProblemClass
+            from repro.modal.algorithm_to_formula import formula_for_machine
+
+            problem_class = ProblemClass({name!r})
+            machine = reference_machine(problem_class, {delta}, rounds={rounds})
+            before = len(formula_pool())
+            formula = formula_for_machine(machine, problem_class, {rounds})
+            print(len(formula_pool()) - before, dag_size(formula))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert tuple(map(int, proc.stdout.split())) == (grown, dag)
 
     def test_live_pool_growth_backstops_an_underestimate(self, monkeypatch):
         """The live guard fires within a round when the prediction is wrong.
@@ -448,9 +506,48 @@ class TestFormulaSizeBudget:
         machine = reference_machine(ProblemClass.VV, delta=5)
         with pytest.raises(FormulaSizeError, match="live pool growth at t=1") as err:
             formula_for_machine(machine, ProblemClass.VV, 1, max_formula_nodes=2_000)
-        # It fired after one degree's rows, not after the whole round.
+        # It fired after one (state, degree) block, not after the whole round.
         assert 2_000 < err.value.predicted_nodes < 100_000
         assert err.value.budget == 2_000
+
+    def test_the_live_guard_fires_before_larger_degrees_are_listed(self):
+        """Specs are listed one degree at a time, so an underestimate stops the
+        construction before the 759,375 degree-5 specs are listed.
+
+        Run in a fresh interpreter: the Delta=5 formula's nodes that the test
+        above interned would hide growth and move the guard to a later degree.
+        """
+        code = textwrap.dedent(
+            """
+            import repro.modal.algorithm_to_formula as construction
+            from repro.machines.library import reference_machine
+            from repro.machines.models import ProblemClass
+
+            listed = []
+            vector_specs = construction._vector_specs
+
+            def recording(messages, delta, degree):
+                listed.append(degree)
+                return vector_specs(messages, delta, degree)
+
+            construction._vector_specs = recording
+            construction.predict_formula_nodes = lambda *arguments: (0, 0)
+            machine = reference_machine(ProblemClass.VV, 5)
+            try:
+                construction.formula_for_machine(
+                    machine, ProblemClass.VV, 1, max_formula_nodes=2_000
+                )
+            except construction.FormulaSizeError:
+                print(*listed)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1", "2", "3"]
 
     def test_a_machine_without_intermediate_states_allocates_no_conditions(self):
         """Only the degree and state formulas: no received-message rows.
@@ -501,6 +598,54 @@ class TestFormulaSizeBudget:
             )
 
 
+def structural_digest(formula) -> str:
+    """A digest of ``formula``'s structure, bottom-up over its pool nodes.
+
+    Each node hashes its kind, its payload and its children's digests in
+    order, never a node id: two constructions that build the same formula in
+    a different order agree, and a difference in any reachable node shows.
+    """
+    pool = formula_pool()
+    digests: dict[int, bytes] = {}
+    for node in topological_ids(formula):
+        node_hash = hashlib.sha256(repr((pool.kinds[node], pool.payloads[node])).encode())
+        for child in pool.children[node]:
+            node_hash.update(digests[child])
+        digests[node] = node_hash.digest()
+    return digests[formula.node_id].hex()[:16]
+
+
+#: ``(machine, class, parameter, digest)`` of two-round formulas at Delta=2,
+#: pinned from the construction that still built every state's last-round
+#: formula.  ``reference`` is the two-round reference machine, ``parameter``
+#: its ``accepting_output``; ``random`` is ``random_machine`` with
+#: ``parameter`` as its seed, which halts in round 1, so the last round only
+#: carries the stopping states forward.
+PINNED_STRUCTURES = [
+    ("reference", "SB", 0, "fdfe57e4b87070ae"), ("reference", "SB", 1, "f949462b49772258"),
+    ("reference", "MB", 0, "58955d03244ceeec"), ("reference", "MB", 1, "e3b36de8ec60a0ae"),
+    ("reference", "VB", 0, "e10bdf7d11f54baa"), ("reference", "VB", 1, "78e452b8e3689bdb"),
+    ("reference", "SV", 0, "100986ec42906163"), ("reference", "SV", 1, "ab829e59ad725364"),
+    ("reference", "MV", 0, "23e791ff77d1c7a1"), ("reference", "MV", 1, "320c12ac01c3a54b"),
+    ("reference", "VV", 0, "0bdb6f8697bc110e"), ("reference", "VV", 1, "09e694f1f39a6103"),
+    ("reference", "VVc", 0, "0bdb6f8697bc110e"), ("reference", "VVc", 1, "09e694f1f39a6103"),
+    ("random", "SB", 0, "d68ebef218c8aaee"), ("random", "SB", 1, "3511a2e8bdc151e4"),
+    ("random", "SB", 2, "4c80f6ef710f5a8e"),
+    ("random", "MB", 0, "e21eb71f56770c03"), ("random", "MB", 1, "9899437ac8af6335"),
+    ("random", "MB", 2, "b9eeca7a86f9d227"),
+    ("random", "VB", 0, "da57175e7750b555"), ("random", "VB", 1, "a06d4bc1fa8ef6c1"),
+    ("random", "VB", 2, "81ace66d8149502f"),
+    ("random", "SV", 0, "ca9731de6de46ac6"), ("random", "SV", 1, "64822a83705176d6"),
+    ("random", "SV", 2, "bdef1aa90d76062f"),
+    ("random", "MV", 0, "ef112085c03ba933"), ("random", "MV", 1, "68151defb20e2fcc"),
+    ("random", "MV", 2, "f52de687d97d44c1"),
+    ("random", "VV", 0, "da9b6d387f2d224c"), ("random", "VV", 1, "723dfa8a06aefc14"),
+    ("random", "VV", 2, "e903bd9f06ebc1e5"),
+    ("random", "VVc", 0, "da9b6d387f2d224c"), ("random", "VVc", 1, "723dfa8a06aefc14"),
+    ("random", "VVc", 2, "e903bd9f06ebc1e5"),
+]
+
+
 class TestEmittedFormulas:
     @pytest.mark.parametrize("problem_class", ALL_CLASSES, ids=str)
     def test_modal_depth_equals_running_time(self, problem_class):
@@ -536,6 +681,24 @@ class TestEmittedFormulas:
             max_formula_nodes=5_000_000,
         )
         assert (dag_size(formula), tree_size(formula), modal_depth(formula)) == sizes
+
+    @pytest.mark.parametrize("machine, name, parameter, digest", PINNED_STRUCTURES)
+    def test_pinned_structure(self, machine, name, parameter, digest):
+        """The two-round formulas node for node, last round included."""
+        problem_class = ProblemClass(name)
+        if machine == "reference":
+            formula = formula_for_machine(
+                reference_machine(problem_class, 2, rounds=2),
+                problem_class,
+                2,
+                accepting_output=parameter,
+            )
+        else:
+            formula = formula_for_machine(
+                random_machine(problem_class, 2, parameter), problem_class, 2
+            )
+        assert modal_depth(formula) == 2
+        assert structural_digest(formula) == digest
 
     def test_sharing_beats_the_tree_blowup(self):
         """The two-round Vector formula: tree in the millions, DAG tiny."""
