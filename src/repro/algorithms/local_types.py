@@ -53,8 +53,3 @@ class LocalTypeSymmetryBreaking(VectorAlgorithm):
         neighbour_types = list(received)
         is_maximal = all(own >= neighbour for neighbour in neighbour_types)
         return Output(1 if is_maximal else 0)
-
-
-def local_type_of_output(local_type: tuple[int, ...]) -> tuple[int, ...]:
-    """Identity helper kept for symmetry with the paper's notation ``t(v)``."""
-    return local_type

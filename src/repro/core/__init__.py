@@ -19,15 +19,10 @@ __getattr__, __dir__ = _lazy_exports(
         "PROVEN_EQUALITIES": ".hierarchy",
         "PROVEN_SEPARATIONS": ".hierarchy",
         "HierarchySummary": ".hierarchy",
-        "are_equal": ".hierarchy",
-        "collapse": ".hierarchy",
         "distinct_levels": ".hierarchy",
         "is_contained_in": ".hierarchy",
-        "is_strictly_contained_in": ".hierarchy",
         "level_of": ".hierarchy",
-        "separation_between": ".hierarchy",
         "summary": ".hierarchy",
-        "trivially_contained_in": ".hierarchy",
         "ClassificationReport": ".classification",
         "ContainmentEvidence": ".classification",
         "SeparationEvidence": ".classification",
@@ -46,15 +41,10 @@ __all__ = [
     "PROVEN_EQUALITIES",
     "PROVEN_SEPARATIONS",
     "HierarchySummary",
-    "are_equal",
-    "collapse",
     "distinct_levels",
     "is_contained_in",
-    "is_strictly_contained_in",
     "level_of",
-    "separation_between",
     "summary",
-    "trivially_contained_in",
     "ClassificationReport",
     "ContainmentEvidence",
     "SeparationEvidence",

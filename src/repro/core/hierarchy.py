@@ -6,10 +6,10 @@ seven classes into a linear order of four distinct levels::
 
     SB  ⊊  MB = VB  ⊊  SV = MV = VV  ⊊  VVc
 
-and identically for the constant-time versions.  This module encodes both the
-trivial partial order and the proven linear order, and offers query helpers
-(`is_contained_in`, `are_equal`, `collapse`, `distinct_levels`) that the
-experiments and the examples use.
+and identically for the constant-time versions.  The trivial partial order is
+``ProblemClass.trivially_contains``; this module encodes the proven linear
+order and the query helpers (`level_of`, `is_contained_in`,
+`distinct_levels`, `summary`) that experiment E3 and the examples use.
 """
 
 from __future__ import annotations
@@ -57,49 +57,14 @@ def level_of(problem_class: ProblemClass) -> int:
     raise ValueError(f"unknown problem class {problem_class!r}")
 
 
-def trivially_contained_in(smaller: ProblemClass, larger: ProblemClass) -> bool:
-    """The partial order of Figure 5a (definition-level containments only)."""
-    return larger.trivially_contains(smaller)
-
-
 def is_contained_in(smaller: ProblemClass, larger: ProblemClass) -> bool:
     """Whether ``smaller ⊆ larger`` according to the paper's main theorem."""
     return level_of(smaller) <= level_of(larger)
 
 
-def are_equal(first: ProblemClass, second: ProblemClass) -> bool:
-    """Whether the two classes coincide according to the main theorem."""
-    return level_of(first) == level_of(second)
-
-
-def is_strictly_contained_in(smaller: ProblemClass, larger: ProblemClass) -> bool:
-    """Whether ``smaller ⊊ larger`` according to the main theorem."""
-    return level_of(smaller) < level_of(larger)
-
-
-def collapse(problem_class: ProblemClass) -> ProblemClass:
-    """A canonical representative of the class's level (SB, VB, SV or VVc)."""
-    representatives = (ProblemClass.SB, ProblemClass.VB, ProblemClass.SV, ProblemClass.VVC)
-    return representatives[level_of(problem_class)]
-
-
 def distinct_levels() -> tuple[tuple[ProblemClass, ...], ...]:
     """The four distinct levels, weakest first."""
     return LINEAR_ORDER
-
-
-def separation_between(smaller: ProblemClass, larger: ProblemClass) -> str | None:
-    """The theorem separating the levels of the two classes, if they differ.
-
-    When the classes sit on adjacent levels this is the exact separating
-    theorem; for classes further apart the theorem separating the two lowest
-    levels in between is reported.
-    """
-    low, high = sorted((level_of(smaller), level_of(larger)))
-    if low == high:
-        return None
-    _, _, description = PROVEN_SEPARATIONS[low]
-    return description
 
 
 @dataclass(frozen=True)

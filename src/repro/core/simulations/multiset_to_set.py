@@ -89,10 +89,6 @@ class SetSimulationOfMultiset(SetAlgorithm):
     def inner(self) -> Algorithm:
         return self._inner
 
-    @property
-    def symmetry_breaking_rounds(self) -> int:
-        return self._phase1_rounds
-
     # ------------------------------------------------------------------ #
 
     def initial_state(self, degree: int) -> Any:

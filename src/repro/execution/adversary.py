@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Any
 
-from repro.graphs.graph import Graph, Node
+from repro.graphs.graph import Graph
 from repro.graphs.ports import (
     PortNumbering,
     all_port_numberings,
@@ -142,25 +142,3 @@ def outputs_over_port_numberings(
         AdversarialOutcome(numbering=numbering, result=result)
         for numbering, result in zip(numberings, results)
     ]
-
-
-def distinct_outputs(
-    algorithm: Algorithm,
-    graph: Graph,
-    consistent_only: bool = False,
-    **kwargs: Any,
-) -> set[tuple[tuple[Node, Any], ...]]:
-    """The set of distinct output assignments the adversary can force.
-
-    Output vectors are keyed in the graph's deterministic node order (the
-    same order every compiled instance uses), not by a ``repr`` sort of the
-    nodes -- two assignments are equal exactly when they agree node-by-node.
-    """
-    outcomes = set()
-    node_order = graph.nodes
-    for _numbering, result in outputs_over_port_numberings(
-        algorithm, graph, consistent_only=consistent_only, **kwargs
-    ):
-        outputs = result.outputs
-        outcomes.add(tuple((node, outputs[node]) for node in node_order if node in outputs))
-    return outcomes

@@ -86,10 +86,6 @@ class ExecutionResult:
     trace: Trace | None = None
     states: dict[Node, Any] | None = None
 
-    def output_vector(self) -> dict[Node, Any]:
-        """Alias for :attr:`outputs` (the solution ``S`` of Section 1.4)."""
-        return self.outputs
-
 
 # --------------------------------------------------------------------------- #
 # Compilation

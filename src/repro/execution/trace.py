@@ -123,10 +123,6 @@ class Trace:
         """The number of communication rounds recorded."""
         return max(0, len(self.state_history) - 1)
 
-    def states_at(self, time: int) -> dict[Node, Any]:
-        """The state vector ``x_t``."""
-        return self.state_history[time]
-
     def _message_sizes(self) -> Iterator[int]:
         """:func:`message_size` of every received message, with one memo for the trace."""
         memo: dict[int, tuple[Any, int]] = {}
@@ -137,10 +133,6 @@ class Trace:
     def max_message_size(self) -> int:
         """The largest message (structural size) observed in the execution."""
         return max(self._message_sizes(), default=0)
-
-    def total_message_volume(self) -> int:
-        """The sum of all message sizes over the whole execution."""
-        return sum(self._message_sizes())
 
     def messages_received_by(self, node: Node, time: int) -> dict[int, Any]:
         """The messages received by ``node`` in round ``time``, keyed by input port."""

@@ -32,7 +32,6 @@ __getattr__, __dir__ = _lazy_exports(
         "cycle_graph": ".generators",
         "double_cover_graph": ".generators",
         "figure9_graph": ".generators",
-        "from_networkx": ".generators",
         "grid_graph": ".generators",
         "hypercube_graph": ".generators",
         "odd_odd_gadget_pair": ".generators",
@@ -47,7 +46,6 @@ __getattr__, __dir__ = _lazy_exports(
         "minimum_vertex_cover": ".matching",
         "one_factorisation": ".matching",
         "bipartite_double_cover": ".covers",
-        "local_view": ".covers",
         "symmetric_port_numbering": ".covers",
     },
 )
@@ -65,7 +63,6 @@ __all__ = [
     "cycle_graph",
     "double_cover_graph",
     "figure9_graph",
-    "from_networkx",
     "grid_graph",
     "hypercube_graph",
     "odd_odd_gadget_pair",
@@ -80,6 +77,5 @@ __all__ = [
     "minimum_vertex_cover",
     "one_factorisation",
     "bipartite_double_cover",
-    "local_view",
     "symmetric_port_numbering",
 ]

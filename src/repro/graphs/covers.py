@@ -4,8 +4,7 @@ Lemma 15 shows that every regular graph admits a port numbering under which
 all nodes are bisimilar in the K+,+ encoding: lift the graph to its bipartite
 double cover ``G*``, decompose ``G*`` into 1-factors, and use factor ``i`` to
 wire output port ``i`` to input port ``i`` everywhere.  This module implements
-that construction, plus truncated universal-cover views ("local views") that
-are the graph-theoretic counterpart of bounded bisimilarity.
+that construction.
 """
 
 from __future__ import annotations
@@ -75,82 +74,3 @@ def symmetric_port_numbering(graph: Graph) -> PortNumbering:
             outgoing[v].append(partner_of_copy1[v])
             incoming[v].append(partner_of_copy2[v])
     return PortNumbering(graph, outgoing, incoming)
-
-
-# ---------------------------------------------------------------------- #
-# Local views (truncated universal covers)
-# ---------------------------------------------------------------------- #
-
-
-def _view_builder(graph: Graph, counting: bool):
-    """A memoized ``build(node, depth)`` closure for truncated-cover views.
-
-    The view of ``node`` at depth ``d`` depends only on ``(node, d)``, yet the
-    naive recursion rebuilds it once per tree position -- exponentially many
-    times in the radius on cyclic graphs.  Memoising on ``(node, depth)``
-    bounds the work by ``n * (radius + 1)`` subtree constructions.  Distinct
-    ``(node, depth)`` keys with equal views are additionally interned to one
-    tuple object, so comparisons between shared subtrees hit the identity
-    fast path when views are sorted or grouped.
-    """
-    memo: dict[tuple[Node, int], tuple] = {}
-    intern: dict[tuple, tuple] = {}
-
-    def build(current: Node, depth: int) -> tuple:
-        key = (current, depth)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if depth == 0:
-            result = (graph.degree(current),)
-        else:
-            children = [build(neighbour, depth - 1) for neighbour in graph.neighbors(current)]
-            children.sort()
-            if not counting:
-                deduplicated = []
-                for child in children:
-                    if not deduplicated or deduplicated[-1] is not child:
-                        deduplicated.append(child)
-                children = deduplicated
-            result = (graph.degree(current), tuple(children))
-        result = intern.setdefault(result, result)
-        memo[key] = result
-        return result
-
-    return build
-
-
-def local_view(graph: Graph, node: Node, radius: int, counting: bool = True) -> tuple:
-    """A canonical encoding of the radius-``radius`` view of ``node``.
-
-    The view is the truncated universal cover rooted at ``node``: a node of the
-    tree is labelled by its degree and its children are the views of its graph
-    neighbours at radius one less.  With ``counting=True`` the children are
-    kept as a sorted tuple (multiset semantics, matching graded bisimilarity);
-    with ``counting=False`` duplicate children are merged (set semantics,
-    matching plain bisimilarity in the K-,- encoding).
-
-    Two nodes have equal views at radius ``r`` exactly when they are
-    ``r``-round (graded) bisimilar in K-,-, which is what any algorithm in
-    SB / MB can ever learn about its surroundings in ``r`` rounds.  Identical
-    subtrees are built once per ``(node, depth)`` pair and shared, so large
-    radii stay linear in ``n * radius`` instead of exponential.
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    return _view_builder(graph, counting)(node, radius)
-
-
-def view_classes(graph: Graph, radius: int, counting: bool = True) -> dict[tuple, frozenset[Node]]:
-    """Group nodes by their radius-``radius`` local view.
-
-    All views are built through one shared memo, so common subtrees across
-    different root nodes are constructed once.
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    build = _view_builder(graph, counting)
-    groups: dict[tuple, set[Node]] = {}
-    for node in graph.nodes:
-        groups.setdefault(build(node, radius), set()).add(node)
-    return {view: frozenset(nodes) for view, nodes in groups.items()}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from typing import Any
 
 from repro.graphs.graph import Graph, Node
 
@@ -244,11 +243,6 @@ def random_bounded_degree_graph(n: int, max_degree: int, seed: int | None = None
     return Graph(nodes=range(n), edges=edges)
 
 
-def from_networkx(nx_graph: Any) -> Graph:
-    """Convert a :class:`networkx.Graph` into a :class:`Graph`."""
-    return Graph.from_networkx(nx_graph)
-
-
 # ---------------------------------------------------------------------- #
 # Paper-specific witness constructions
 # ---------------------------------------------------------------------- #
@@ -286,26 +280,6 @@ def figure9_graph() -> Graph:
     return Graph(nodes=nodes, edges=edges)
 
 
-def matchless_regular_graph(copies: int = 3) -> Graph:
-    """A generalisation of :func:`figure9_graph` with ``copies`` gadgets.
-
-    For odd ``copies >= 3`` the construction yields a connected graph in which
-    the central node has degree ``copies``; for ``copies == 3`` it is 3-regular
-    and matchless.  Larger odd values give non-regular matchless graphs useful
-    for stress-testing the matching substrate.
-    """
-    if copies < 3 or copies % 2 == 0:
-        raise ValueError("copies must be an odd integer >= 3")
-    nodes: list[Node] = ["z"]
-    edges: list[tuple[Node, Node]] = []
-    for index in range(copies):
-        gadget_nodes, gadget_edges, connector = _matchless_gadget(f"g{index + 1}")
-        nodes.extend(gadget_nodes)
-        edges.extend(gadget_edges)
-        edges.append(("z", connector))
-    return Graph(nodes=nodes, edges=edges)
-
-
 def odd_odd_gadget_pair() -> tuple[Graph, Node, Node]:
     """The Theorem 13 witness: a graph and two bisimilar nodes with different answers.
 
@@ -337,21 +311,3 @@ def odd_odd_gadget_pair() -> tuple[Graph, Node, Node]:
     ]
     graph = Graph(edges=component_a_edges + component_b_edges)
     return graph, ("A", "w"), ("B", "w")
-
-
-def all_graphs_with_max_degree(n: int, max_degree: int) -> list[Graph]:
-    """Every simple graph on nodes ``0..n-1`` with maximum degree at most ``max_degree``.
-
-    Exhaustive (``2**(n(n-1)/2)`` candidate edge sets), intended for ``n <= 5``
-    in adversarial tests.
-    """
-    import itertools
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    graphs = []
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        edges = [pair for pair, keep in zip(pairs, bits) if keep]
-        graph = Graph(nodes=range(n), edges=edges)
-        if graph.max_degree() <= max_degree:
-            graphs.append(graph)
-    return graphs

@@ -10,7 +10,7 @@ port numberings, executions, Kripke models -- is reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Any
 
 Node = Hashable
@@ -123,9 +123,6 @@ class Graph:
             return 0
         return max(len(self._adjacency[node]) for node in self._nodes)
 
-    def has_node(self, node: Node) -> bool:
-        return node in self._adjacency
-
     def has_edge(self, u: Node, v: Node) -> bool:
         return u in self._adjacency and v in self._adjacency[u]
 
@@ -180,31 +177,6 @@ class Graph:
             remaining -= seen
         return components
 
-    def is_eulerian(self) -> bool:
-        """Whether the graph has an Eulerian circuit.
-
-        Per the standard definition used by the paper's example (Section 1.4):
-        connected (ignoring isolated nodes) and every node has even degree.
-        """
-        non_isolated = [node for node in self._nodes if self.degree(node) > 0]
-        if not non_isolated:
-            return True
-        if any(self.degree(node) % 2 != 0 for node in non_isolated):
-            return False
-        seen = {non_isolated[0]}
-        frontier = [non_isolated[0]]
-        while frontier:
-            node = frontier.pop()
-            for neighbour in self._adjacency[node]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    frontier.append(neighbour)
-        return set(non_isolated) <= seen
-
-    def is_bipartite(self) -> bool:
-        """Whether the graph is 2-colourable."""
-        return self.bipartition() is not None
-
     def bipartition(self) -> tuple[frozenset[Node], frozenset[Node]] | None:
         """A 2-colouring as a pair of node sets, or ``None`` if not bipartite."""
         colour: dict[Node, int] = {}
@@ -225,26 +197,6 @@ class Graph:
         right = frozenset(node for node, c in colour.items() if c == 1)
         return left, right
 
-    def distance(self, source: Node, target: Node) -> int | None:
-        """Length of a shortest path between two nodes, or ``None`` if disconnected."""
-        if source == target:
-            return 0
-        seen = {source}
-        frontier = [source]
-        dist = 0
-        while frontier:
-            dist += 1
-            next_frontier: list[Node] = []
-            for node in frontier:
-                for neighbour in self._adjacency[node]:
-                    if neighbour == target:
-                        return dist
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        next_frontier.append(neighbour)
-            frontier = next_frontier
-        return None
-
     # ------------------------------------------------------------------ #
     # Derived graphs
     # ------------------------------------------------------------------ #
@@ -264,27 +216,6 @@ class Graph:
         kept = [(u, v) for u, v in self._edges if frozenset((u, v)) not in removed]
         return Graph(nodes=self._nodes, edges=kept)
 
-    def relabel(self, mapping: Mapping[Node, Node]) -> "Graph":
-        """A copy of the graph with nodes relabelled through ``mapping``.
-
-        Nodes missing from ``mapping`` keep their labels.  The mapping must be
-        injective on the node set.
-        """
-        new_label = {node: mapping.get(node, node) for node in self._nodes}
-        if len(set(new_label.values())) != len(new_label):
-            raise ValueError("relabelling is not injective on the node set")
-        return Graph(
-            nodes=new_label.values(),
-            edges=[(new_label[u], new_label[v]) for u, v in self._edges],
-        )
-
-    def disjoint_union(self, other: "Graph") -> "Graph":
-        """Disjoint union; nodes are tagged with 0 (self) and 1 (other)."""
-        nodes = [(0, node) for node in self._nodes] + [(1, node) for node in other.nodes]
-        edges = [((0, u), (0, v)) for u, v in self._edges]
-        edges += [((1, u), (1, v)) for u, v in other.edges]
-        return Graph(nodes=nodes, edges=edges)
-
     # ------------------------------------------------------------------ #
     # Interoperability
     # ------------------------------------------------------------------ #
@@ -297,11 +228,6 @@ class Graph:
         nx_graph.add_nodes_from(self._nodes)
         nx_graph.add_edges_from(self._edges)
         return nx_graph
-
-    @classmethod
-    def from_networkx(cls, nx_graph: Any) -> "Graph":
-        """Build a :class:`Graph` from a :class:`networkx.Graph`."""
-        return cls(nodes=nx_graph.nodes(), edges=nx_graph.edges())
 
     # ------------------------------------------------------------------ #
     # Value-object protocol

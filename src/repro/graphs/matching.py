@@ -30,44 +30,6 @@ def maximum_matching(graph: Graph) -> Matching:
     return _to_edge_set(matching)
 
 
-def maximal_matching(graph: Graph) -> Matching:
-    """A (greedy, deterministic) maximal matching -- not necessarily maximum."""
-    matched: set[Node] = set()
-    edges = []
-    for u, v in graph.edges:
-        if u not in matched and v not in matched:
-            matched.add(u)
-            matched.add(v)
-            edges.append((u, v))
-    return _to_edge_set(edges)
-
-
-def is_matching(graph: Graph, edges: Iterable[frozenset[Node]]) -> bool:
-    """Whether ``edges`` is a matching of ``graph`` (disjoint graph edges)."""
-    seen: set[Node] = set()
-    for edge in edges:
-        endpoints = tuple(edge)
-        if len(endpoints) != 2:
-            return False
-        u, v = endpoints
-        if not graph.has_edge(u, v):
-            return False
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
-
-
-def is_perfect_matching(graph: Graph, edges: Iterable[frozenset[Node]]) -> bool:
-    """Whether ``edges`` is a 1-factor of ``graph`` (covers every node exactly once)."""
-    edges = list(edges)
-    if not is_matching(graph, edges):
-        return False
-    covered = {node for edge in edges for node in edge}
-    return covered == set(graph.nodes)
-
-
 def has_perfect_matching(graph: Graph) -> bool:
     """Whether ``graph`` has a 1-factor.
 
@@ -77,14 +39,6 @@ def has_perfect_matching(graph: Graph) -> bool:
     if graph.number_of_nodes % 2 != 0:
         return False
     return len(maximum_matching(graph)) * 2 == graph.number_of_nodes
-
-
-def perfect_matching(graph: Graph) -> Matching:
-    """A 1-factor of ``graph``; raises :class:`ValueError` if none exists."""
-    matching = maximum_matching(graph)
-    if len(matching) * 2 != graph.number_of_nodes:
-        raise ValueError("graph has no perfect matching")
-    return matching
 
 
 def one_factorisation(graph: Graph) -> list[Matching]:
@@ -276,13 +230,3 @@ def minimum_vertex_cover(graph: Graph) -> frozenset[Node]:
             if is_vertex_cover(graph, subset):
                 return frozenset(subset)
     raise RuntimeError("unreachable: the full candidate set is always a cover")
-
-
-def vertex_cover_from_matching(graph: Graph, matching: Iterable[frozenset[Node]]) -> frozenset[Node]:
-    """The vertex cover consisting of both endpoints of every matching edge.
-
-    For a *maximal* matching this is the classical centralised 2-approximation
-    of minimum vertex cover; the distributed variants of Section 3.3 emulate
-    this bound in weak models.
-    """
-    return frozenset(node for edge in matching for node in edge)

@@ -113,21 +113,9 @@ class PortNumbering:
         node, out_port = port
         return self.apply(node, out_port)
 
-    def outgoing_neighbor(self, node: Node, out_port: int) -> Node:
-        """The neighbour reached through output port ``out_port`` of ``node``."""
-        return self._outgoing[node][out_port - 1]
-
-    def incoming_neighbor(self, node: Node, in_port: int) -> Node:
-        """The neighbour heard through input port ``in_port`` of ``node``."""
-        return self._incoming[node][in_port - 1]
-
     def outgoing_port(self, node: Node, neighbour: Node) -> int:
         """``pi(node, neighbour)``: the output port of ``node`` leading to ``neighbour``."""
         return self._outgoing[node].index(neighbour) + 1
-
-    def incoming_port(self, node: Node, neighbour: Node) -> int:
-        """The input port of ``node`` through which ``neighbour``'s messages arrive."""
-        return self._incoming_index[node][neighbour]
 
     # ------------------------------------------------------------------ #
     # Structural properties
@@ -143,10 +131,6 @@ class PortNumbering:
     def as_mapping(self) -> dict[Port, Port]:
         """The port numbering as an explicit mapping ``{(v, i): p((v, i))}``."""
         return {port: self(port) for port in self.ports()}
-
-    def with_incoming(self, incoming: Mapping[Node, Sequence[Node]]) -> "PortNumbering":
-        """A copy with the same output ports but different input ports."""
-        return PortNumbering(self._graph, self._outgoing, incoming)
 
     def outgoing_assignment(self) -> dict[Node, tuple[Node, ...]]:
         """The per-node output-port assignment (copy)."""

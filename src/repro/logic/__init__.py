@@ -39,7 +39,6 @@ __getattr__, __dir__ = _lazy_exports(
         "Top": ".syntax",
         "conjunction": ".syntax",
         "disjunction": ".syntax",
-        "logic_of": ".syntax",
         "modal_depth": ".syntax",
         "KripkeModel": ".kripke",
         "CompiledKripke": ".engine",
@@ -50,7 +49,6 @@ __getattr__, __dir__ = _lazy_exports(
         "extension": ".semantics",
         "satisfies": ".semantics",
         "parse_formula": ".parser",
-        "are_bisimilar": ".bisimulation",
         "bisimilarity_partition": ".bisimulation",
         "bisimilar_within": ".bisimulation",
         "bounded_bisimilarity_partition": ".bisimulation",
@@ -73,7 +71,6 @@ __all__ = [
     "Top",
     "conjunction",
     "disjunction",
-    "logic_of",
     "modal_depth",
     "KripkeModel",
     "CompiledKripke",
@@ -84,7 +81,6 @@ __all__ = [
     "extension",
     "satisfies",
     "parse_formula",
-    "are_bisimilar",
     "bisimilarity_partition",
     "bisimilar_within",
     "bounded_bisimilarity_partition",

@@ -166,24 +166,6 @@ def bisimilar_within(
     return len({partition[world] for world in worlds}) == 1
 
 
-def are_bisimilar(
-    first_model: KripkeModel,
-    first_world: World,
-    second_model: KripkeModel,
-    second_world: World,
-    graded: bool = False,
-    engine: str = "compiled",
-) -> bool:
-    """Whether two pointed models are (graded) bisimilar.
-
-    The two models are combined into their disjoint union and the coarsest
-    bisimilarity partition of the union is consulted.
-    """
-    union = first_model.disjoint_union(second_model)
-    partition = bisimilarity_partition(union, graded=graded, engine=engine)
-    return partition[(0, first_world)] == partition[(1, second_world)]
-
-
 # ---------------------------------------------------------------------- #
 # Certificate checking
 # ---------------------------------------------------------------------- #

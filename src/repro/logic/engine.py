@@ -33,9 +33,7 @@ execution layer got in :mod:`repro.execution.engine`:
   ``(block, per-index successor-block sets/multisets)`` and renumbers blocks
   by first occurrence in the interned world order, which reproduces the
   reference implementation's block numbering exactly -- differential tests
-  compare partitions with ``==``;
-* :meth:`CompiledKripke.satisfies` answers single-world queries top-down with
-  short-circuiting and memoisation instead of computing the full extension.
+  compare partitions with ``==``.
 
 The compiled form is cached on the model instance (``KripkeModel._compiled``,
 mirroring ``Graph._default_compiled`` in the execution engine), so repeated
@@ -117,7 +115,7 @@ class CompiledKripke:
     relation is stored three ways, each serving one hot loop:
 
     * ``csr[index] = (offsets, targets)`` -- flat successor lists for the
-      refinement signatures and the top-down single-world checker;
+      refinement signatures;
     * ``succ_masks[index][i]`` -- bitset of the successors of world ``i``,
       for graded counting (``(mask & bits).bit_count()``) and ``[a]phi``;
     * ``pred_masks[index][j]`` -- bitset of the predecessors of world ``j``,
@@ -127,7 +125,6 @@ class CompiledKripke:
 
     __slots__ = (
         "worlds",
-        "world_index",
         "n",
         "all_mask",
         "indices",
@@ -146,7 +143,6 @@ class CompiledKripke:
         worlds = tuple(sorted(model.worlds, key=repr))
         self.worlds = worlds
         index_of = {world: i for i, world in enumerate(worlds)}
-        self.world_index = index_of
         n = len(worlds)
         self.n = n
         self.all_mask = (1 << n) - 1
@@ -178,7 +174,7 @@ class CompiledKripke:
         self.succ_masks = succ_masks
         self.pred_masks = pred_masks
         # Per-world successor lists (views into the CSR data), so the
-        # refinement rounds and the top-down checker index without slicing.
+        # refinement rounds index without slicing.
         self.succ_lists = {
             rel_index: [
                 targets[offsets[i] : offsets[i + 1]] for i in range(n)
@@ -222,14 +218,6 @@ class CompiledKripke:
         return frozenset(
             compress(self.worlds, chain.from_iterable(map(_BYTE_FLAGS.__getitem__, data)))
         )
-
-    def to_bits(self, worlds: Iterable[World]) -> int:
-        """Encode a set of worlds as a bitset."""
-        index_of = self.world_index
-        bits = 0
-        for world in worlds:
-            bits |= 1 << index_of[world]
-        return bits
 
     def _resolve_index(self, index: Index) -> Index:
         if index is not None:
@@ -356,76 +344,6 @@ class CompiledKripke:
         """Extensions of many formulas with one shared per-node bitset cache."""
         cache: dict[int, int] = {}
         return [self.to_worlds(self.extension_bits(formula, cache)) for formula in formulas]
-
-    def satisfies(
-        self,
-        world: World,
-        formula: Formula,
-        _trace: list | None = None,
-    ) -> bool:
-        """Whether ``model, world |= formula``, evaluated top-down.
-
-        Unlike the reference checker, this never computes the full extension
-        of any subformula: Boolean connectives short-circuit, graded diamonds
-        stop counting at the grade, and only worlds reachable from ``world``
-        within the modal depth are ever visited.  ``_trace``, if given,
-        collects the evaluated ``(formula, world)`` pairs (used by the
-        regression test guarding against full-extension evaluation).
-        """
-        if not isinstance(formula, Formula):
-            raise TypeError(f"unknown formula type: {formula!r}")
-        succ_lists = self.succ_lists
-        pool = formula_pool()
-        nodes = pool.nodes
-        cache: dict[tuple[int, int], bool] = {}
-
-        def holds(phi: Formula, i: int) -> bool:
-            key = (phi.node_id, i)
-            cached = cache.get(key)
-            if cached is not None:
-                return cached
-            if _trace is not None:
-                _trace.append((phi, self.worlds[i]))
-            kind = pool.kinds[phi.node_id]
-            kids = pool.children[phi.node_id]
-            if kind == KIND_PROP:
-                value = bool(self.prop_bits.get(pool.payloads[phi.node_id][0], 0) >> i & 1)
-            elif kind == KIND_TOP:
-                value = True
-            elif kind == KIND_BOTTOM:
-                value = False
-            elif kind == KIND_NOT:
-                value = not holds(nodes[kids[0]], i)
-            elif kind == KIND_AND:
-                value = holds(nodes[kids[0]], i) and holds(nodes[kids[1]], i)
-            elif kind == KIND_OR:
-                value = holds(nodes[kids[0]], i) or holds(nodes[kids[1]], i)
-            elif kind == KIND_IMPLIES:
-                value = (not holds(nodes[kids[0]], i)) or holds(nodes[kids[1]], i)
-            else:
-                payload = pool.payloads[phi.node_id]
-                index = self._resolve_index(payload[-1])
-                entry = succ_lists.get(index)
-                successors: Sequence[int] = entry[i] if entry is not None else ()
-                operand = nodes[kids[0]]
-                if kind == KIND_DIAMOND:
-                    value = any(holds(operand, j) for j in successors)
-                elif kind == KIND_BOX:
-                    value = all(holds(operand, j) for j in successors)
-                else:
-                    grade = payload[0]
-                    count = 0
-                    value = grade == 0
-                    for j in successors:
-                        if holds(operand, j):
-                            count += 1
-                            if count >= grade:
-                                value = True
-                                break
-            cache[key] = value
-            return value
-
-        return holds(formula, self.world_index[world])
 
     # ------------------------------------------------------------------ #
     # Signature-hash partition refinement (Section 4.2)

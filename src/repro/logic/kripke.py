@@ -113,36 +113,6 @@ class KripkeModel:
         return frozenset(prop for prop in self._valuation if self.holds(prop, world))
 
     # ------------------------------------------------------------------ #
-    # Constructions
-    # ------------------------------------------------------------------ #
-
-    def disjoint_union(self, other: "KripkeModel") -> "KripkeModel":
-        """The disjoint union of two models; worlds are tagged with 0 and 1.
-
-        Used to decide bisimilarity of worlds living in different models.
-        """
-        worlds = [(0, w) for w in self._worlds] + [(1, w) for w in other._worlds]
-        relations: dict[Index, list[tuple[World, World]]] = {}
-        for index in self.indices | other.indices:
-            pairs: list[tuple[World, World]] = []
-            pairs.extend(((0, v), (0, w)) for v, w in self.relation(index))
-            pairs.extend(((1, v), (1, w)) for v, w in other.relation(index))
-            relations[index] = pairs
-        valuation: dict[Hashable, list[World]] = {}
-        for prop in self.propositions | other.propositions:
-            extent: list[World] = []
-            extent.extend((0, w) for w in self.valuation_of(prop))
-            extent.extend((1, w) for w in other.valuation_of(prop))
-            valuation[prop] = extent
-        return KripkeModel(worlds, relations, valuation)
-
-    def restrict_indices(self, keep: Iterable[Index]) -> "KripkeModel":
-        """A copy keeping only the relations whose index is in ``keep``."""
-        keep_set = set(keep)
-        relations = {index: pairs for index, pairs in self._relations.items() if index in keep_set}
-        return KripkeModel(self._worlds, relations, self._valuation)
-
-    # ------------------------------------------------------------------ #
     # Value-object protocol
     # ------------------------------------------------------------------ #
 

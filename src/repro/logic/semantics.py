@@ -182,22 +182,11 @@ def extension(
 def satisfies(
     model: KripkeModel, world: World, formula: Formula, engine: str = "compiled"
 ) -> bool:
-    """Whether ``model, world |= formula``.
-
-    The compiled engine answers the single-world query top-down with
-    short-circuiting and memoisation; it does not compute the full extension
-    of the formula over all worlds (which is what the reference checker, and
-    the seed implementation of this function, do).  ``engine="vector"``
-    shares the compiled top-down checker: a single-world query has no batch
-    to vectorize, and the two engines are extension-identical by the
-    differential suite.
-    """
+    """Whether ``model, world |= formula``: ``world`` is in the formula's extension."""
     if world not in model.worlds:
         raise ValueError(f"{world!r} is not a world of the model")
     engine = check_engine(engine, "satisfies")
-    if engine == "reference":
-        return world in reference_extension(model, formula)
-    return compile_kripke(model).satisfies(world, formula)
+    return world in extension(model, formula, engine=engine)
 
 
 def equivalent_on(

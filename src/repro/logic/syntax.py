@@ -2,10 +2,9 @@
 
 Formulas are immutable values built from propositions, Boolean connectives
 and (possibly graded, possibly indexed) diamonds.  The same AST serves all
-four logics; :func:`logic_of` reports the smallest logic a given formula
-lives in, and :func:`modal_depth` computes the nesting depth of modalities,
-which by Theorem 2 corresponds to the running time of the matching local
-algorithm.
+four logics, and :func:`modal_depth` computes the nesting depth of
+modalities, which by Theorem 2 corresponds to the running time of the
+matching local algorithm.
 
 Every constructor is *interned* into a process-wide :class:`FormulaPool`:
 structurally equal formulas are one object, so a formula is a rooted node of
@@ -141,10 +140,6 @@ class FormulaPool:
         if size is None:
             size = self._dag_sizes[root] = len(self.reachable_ids(root))
         return size
-
-    def stats(self) -> dict[str, int]:
-        """Pool-wide counters (size, interning table size)."""
-        return {"nodes": len(self.nodes), "interned": len(self._intern)}
 
 
 #: The process-wide pool.  One pool per process: node ids are only
@@ -507,42 +502,3 @@ def propositions(formula: Formula) -> frozenset[Hashable]:
     return frozenset(
         payloads[i][0] for i in _POOL.reachable_ids(node_id) if kinds[i] == KIND_PROP
     )
-
-
-def modal_indices(formula: Formula) -> frozenset[Hashable]:
-    """The modality indices occurring in ``formula`` (``None`` for plain diamonds)."""
-    node_id = _require_formula(formula)
-    kinds, payloads = _POOL.kinds, _POOL.payloads
-    return frozenset(
-        payloads[i][-1] for i in _POOL.reachable_ids(node_id) if kinds[i] in MODAL_KINDS
-    )
-
-
-def is_graded(formula: Formula) -> bool:
-    """Whether ``formula`` uses a graded diamond."""
-    node_id = _require_formula(formula)
-    kinds = _POOL.kinds
-    return any(kinds[i] == KIND_GRADED for i in _POOL.reachable_ids(node_id))
-
-
-def logic_of(formula: Formula) -> str:
-    """The smallest of ML, GML, MML, GMML containing ``formula``.
-
-    A formula is multimodal when it uses more than one modality index (or any
-    explicit index besides ``None``), and graded when it uses a graded
-    diamond.
-    """
-    indices = modal_indices(formula) - {None}
-    multimodal = len(indices) > 1 or (len(indices) == 1 and None in modal_indices(formula))
-    if len(indices) == 1 and None not in modal_indices(formula):
-        # A single explicit index can be read as plain ML/GML over that relation,
-        # but we classify it as multimodal because the index is named.
-        multimodal = True
-    graded = is_graded(formula)
-    if multimodal and graded:
-        return "GMML"
-    if multimodal:
-        return "MML"
-    if graded:
-        return "GML"
-    return "ML"

@@ -8,9 +8,8 @@
 * :mod:`~repro.machines.algorithm` -- the ergonomic :class:`Algorithm` base
   classes that examples and library algorithms implement.
 * :mod:`~repro.machines.state_machine` -- the paper's formal tuple
-  ``(Y, Z, z0, M, m0, mu, delta)`` and adapters to/from :class:`Algorithm`.
-* :mod:`~repro.machines.inspection` -- empirical membership checks for the
-  algorithm classes.
+  ``(Y, Z, z0, M, m0, mu, delta)``, run as an :class:`Algorithm` by
+  ``algorithm_from_machine``.
 * :mod:`~repro.machines.library` -- delta-parametric reference and random
   machines of every class, the workloads of the Theorem 2 correspondence
   pipeline.
@@ -37,17 +36,11 @@ __getattr__, __dir__ = _lazy_exports(
         "FiniteStateMachine": ".state_machine",
         "StateMachine": ".state_machine",
         "algorithm_from_machine": ".state_machine",
-        "machine_from_algorithm": ".state_machine",
-        "ModelUpcast": ".adapters",
-        "as_model": ".adapters",
         "FastPathAlgorithm": ".fastpath",
         "fast_path": ".fastpath",
         "class_view": ".library",
         "random_machine": ".library",
         "reference_machine": ".library",
-        "is_broadcast_machine": ".inspection",
-        "respects_multiset_semantics": ".inspection",
-        "respects_set_semantics": ".inspection",
     },
 )
 
@@ -65,17 +58,11 @@ __all__ = [
     "SetAlgorithm",
     "SetBroadcastAlgorithm",
     "VectorAlgorithm",
-    "ModelUpcast",
-    "as_model",
     "FastPathAlgorithm",
     "fast_path",
     "FiniteStateMachine",
     "StateMachine",
     "algorithm_from_machine",
-    "machine_from_algorithm",
-    "is_broadcast_machine",
-    "respects_multiset_semantics",
-    "respects_set_semantics",
     "class_view",
     "random_machine",
     "reference_machine",

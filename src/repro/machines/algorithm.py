@@ -8,8 +8,8 @@ subclasses below.  Halting is expressed by returning an :class:`Output` value
 from ``initial_state`` or ``transition``; a halted node no longer sends
 messages or changes state, exactly as in the paper.
 
-The adapters in :mod:`repro.machines.state_machine` convert between this
-representation and the formal tuple.
+:func:`repro.machines.state_machine.algorithm_from_machine` runs a machine
+given as the formal tuple through this representation.
 """
 
 from __future__ import annotations

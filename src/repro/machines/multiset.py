@@ -25,7 +25,7 @@ class FrozenMultiset:
     2
     >>> m == FrozenMultiset(["b", "a", "a"])
     True
-    >>> sorted(m.support(), key=str)
+    >>> sorted(m.to_set(), key=str)
     ['a', 'b']
     """
 
@@ -39,23 +39,9 @@ class FrozenMultiset:
         self._counts = counts
         self._hash: int | None = None
 
-    @classmethod
-    def from_counts(cls, counts: dict[Hashable, int]) -> "FrozenMultiset":
-        """Build a multiset from an element-to-multiplicity mapping."""
-        result = cls()
-        cleaned = {element: count for element, count in counts.items() if count > 0}
-        if any(count < 0 for count in counts.values()):
-            raise ValueError("multiplicities must be non-negative")
-        result._counts = cleaned
-        return result
-
     def count(self, element: Hashable) -> int:
         """The multiplicity of ``element`` (0 if absent)."""
         return self._counts.get(element, 0)
-
-    def support(self) -> frozenset[Hashable]:
-        """The set of distinct elements."""
-        return frozenset(self._counts)
 
     def counts(self) -> dict[Hashable, int]:
         """A copy of the element-to-multiplicity mapping."""

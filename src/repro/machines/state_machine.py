@@ -1,4 +1,4 @@
-"""The formal distributed state machine of Section 1.1 and adapters.
+"""The formal distributed state machine of Section 1.1.
 
 A distributed state machine for the family ``F(Delta)`` is a tuple
 ``A = (Y, Z, z0, M, m0, mu, delta)``:
@@ -15,9 +15,8 @@ A distributed state machine for the family ``F(Delta)`` is a tuple
 :class:`FiniteStateMachine` additionally carries explicit finite state and
 message sets, which is what the modal compilation of Theorem 2 (parts 3-4)
 needs in order to enumerate the formulas ``phi_{z,t}`` and ``theta_{m,j,t}``.
-The adapters convert between the ergonomic :class:`~repro.machines.algorithm.
-Algorithm` representation and the formal one; round-tripping preserves the
-execution semantics (checked in the test suite).
+:func:`algorithm_from_machine` runs a formal machine as a Vector-model
+:class:`~repro.machines.algorithm.Algorithm`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.machines.algorithm import NO_MESSAGE, Algorithm, VectorAlgorithm
-from repro.machines.models import SendMode
 
 
 @dataclass(frozen=True)
@@ -116,62 +114,6 @@ class FiniteStateMachine:
 # ---------------------------------------------------------------------- #
 # Adapters
 # ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _AdapterState:
-    """State wrapper used when converting an :class:`Algorithm` to a machine.
-
-    The formal ``delta`` receives a padded vector of length ``Delta`` and has
-    no other way of knowing the node degree, so the degree is recorded in the
-    state (the paper does the same implicitly through ``z0``).
-    """
-
-    degree: int
-    inner: Any
-
-
-def machine_from_algorithm(algorithm: Algorithm, delta_bound: int) -> StateMachine:
-    """The formal state machine ``A_Delta`` corresponding to an algorithm.
-
-    The machine's receive semantics are always Vector (the formal definition);
-    the algorithm's own receive mode is applied as a projection inside
-    ``delta``, which is exactly how the paper defines the subclasses
-    ``Multiset`` and ``Set`` (invariance of ``delta`` under the projection).
-    """
-    model = algorithm.model
-
-    def initial(degree: int) -> Any:
-        return _AdapterState(degree, algorithm.initial_state(degree))
-
-    def message(state: _AdapterState, port: int) -> Any:
-        if algorithm.is_stopping(state.inner):
-            return NO_MESSAGE
-        if model.send is SendMode.BROADCAST:
-            return algorithm.broadcast(state.inner)
-        return algorithm.send(state.inner, port)
-
-    def transition(state: _AdapterState, padded: tuple[Any, ...]) -> Any:
-        if algorithm.is_stopping(state.inner):
-            return state
-        received = padded[: state.degree]
-        projected = model.receive.project(received)
-        return _AdapterState(state.degree, algorithm.transition(state.inner, projected))
-
-    def is_stopping(state: Any) -> bool:
-        return isinstance(state, _AdapterState) and algorithm.is_stopping(state.inner)
-
-    def output(state: _AdapterState) -> Any:
-        return algorithm.output(state.inner)
-
-    return StateMachine(
-        delta_bound=delta_bound,
-        initial_state=initial,
-        message=message,
-        transition=transition,
-        is_stopping=is_stopping,
-        output=output,
-    )
 
 
 class MachineAlgorithm(VectorAlgorithm):

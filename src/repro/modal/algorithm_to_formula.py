@@ -73,17 +73,25 @@ class FormulaSizeError(ValueError):
     ----------
     predicted_nodes:
         Upper estimate of the pool nodes the construction would allocate
-        (exact spec enumeration, per-spec node cost over-approximated).
+        (exact spec enumeration, node costs over-approximated), or the pool
+        growth the live guard measured.
     specs:
-        The exact number of received-message specs that would be enumerated.
+        The exact number of received-message specs that would be enumerated,
+        or ``None`` when the live guard measured the growth.
     budget:
         The ``max_formula_nodes`` value that was exceeded.
     """
 
-    def __init__(self, predicted_nodes: int, specs: int, budget: int, detail: str) -> None:
+    def __init__(self, predicted_nodes: int, specs: int | None, budget: int, detail: str) -> None:
+        if specs is None:
+            size = f"grew the pool by {predicted_nodes} formula nodes"
+        else:
+            size = (
+                f"would allocate ~{predicted_nodes} formula nodes over {specs} "
+                f"received-message specs"
+            )
         super().__init__(
-            f"the Theorem 2 construction would allocate ~{predicted_nodes} formula "
-            f"nodes over {specs} received-message specs, exceeding the budget of "
+            f"the Theorem 2 construction {size}, exceeding the budget of "
             f"{budget} ({detail}); raise max_formula_nodes (or pass None) to force it"
         )
         self.predicted_nodes = predicted_nodes
@@ -177,10 +185,15 @@ def predict_formula_nodes(
     """``(predicted_nodes, specs)`` for the Table 4/5 construction.
 
     ``specs`` is the exact number of received-message specs the construction
-    enumerates (the quantity that explodes in ``Delta``, ``|M|`` and ``T``);
-    ``predicted_nodes`` multiplies it by an upper estimate of the pool nodes
-    allocated per spec, plus the memoised ``theta`` table.  Both are plain
-    big-int arithmetic -- cheap even when the answer has dozens of digits.
+    enumerates, over every round and intermediate state (the quantity that
+    explodes in ``Delta``, ``|M|`` and ``T``).  ``predicted_nodes`` is an
+    upper estimate of the pool nodes allocated.  A round builds each spec's
+    condition once and shares it across states, so conditions are charged
+    once per round; each ``(state, spec)`` pair adds its conjunction and its
+    disjunction slot, and each ``(state, degree)`` pair the conjunction of
+    the degree guard with the state's previous ``phi``; then comes the
+    memoised ``theta`` table.  Both are plain big-int arithmetic --
+    cheap even when the answer has dozens of digits.
     """
     delta = machine.delta_bound
     model = problem_class.model
@@ -189,14 +202,17 @@ def predict_formula_nodes(
     intermediate = len(machine.intermediate_states)
     specs_per_degree = [_spec_count(model, m, delta, d) for d in range(delta + 1)]
     specs = running_time * intermediate * sum(specs_per_degree)
+    # A condition is a conjunction of at most ``d`` (graded) diamonds, or,
+    # for the Set classes, of one diamond or negated diamond per cell.
     if model.receive is ReceiveMode.SET:
         cells = m * delta if model.send is SendMode.PORT else m
-        per_spec = [3 * cells + 4] * (delta + 1)
+        per_condition = [3 * cells] * (delta + 1)
     else:
-        per_spec = [2 * d + 4 for d in range(delta + 1)]
-    nodes = running_time * intermediate * sum(
-        count * cost for count, cost in zip(specs_per_degree, per_spec)
+        per_condition = [2 * d for d in range(delta + 1)]
+    nodes = running_time * sum(
+        count * cost for count, cost in zip(specs_per_degree, per_condition)
     )
+    nodes += 2 * specs + running_time * intermediate * (delta + 1)
     # theta_{m,j,t}: a disjunction over states, memoised per (message, port, time).
     ports = delta if model.send is SendMode.PORT else 1
     nodes += m * ports * max(running_time, 1) * (states + 1)
@@ -231,8 +247,7 @@ def formula_for_machine(
     machine:
         A finite-state machine that belongs to ``problem_class``'s algorithm
         model (its ``delta`` must be invariant under the class's projection of
-        the received vector; this is assumed, not checked here -- see
-        :mod:`repro.machines.inspection`).
+        the received vector; this is assumed, not checked).
     problem_class:
         The class determining both the logic and the Kripke encoding.
     running_time:
@@ -395,7 +410,7 @@ def formula_for_machine(
             grown = len(pool) - pool_start
             if grown > max_formula_nodes:
                 raise FormulaSizeError(
-                    grown, 0, max_formula_nodes, f"live pool growth at {where}"
+                    grown, None, max_formula_nodes, f"live pool growth at {where}"
                 )
 
     # psi is the disjunction of phi_{z,T} over the accepting states, so the

@@ -203,35 +203,6 @@ def algorithm_matches_formula(
     return disagreement is None
 
 
-def disagreement_witness(
-    algorithm: Algorithm,
-    formula: Formula,
-    problem_class: ProblemClass,
-    graphs: Iterable[Graph],
-    delta: int | None = None,
-    exhaustive_limit: int = 500,
-    samples: int = 20,
-) -> tuple[Graph, PortNumbering, dict[Node, int], dict[Node, int]] | None:
-    """The first input on which algorithm and formula disagree, or ``None``.
-
-    Useful for debugging compiled algorithms/formulas: returns the graph, the
-    port numbering, the formula's labelling and the algorithm's labelling.
-    """
-    return next(
-        _disagreements(
-            algorithm,
-            formula,
-            problem_class,
-            graphs,
-            delta,
-            exhaustive_limit,
-            samples,
-            DEFAULT_MAX_ROUNDS,
-        ),
-        None,
-    )
-
-
 # --------------------------------------------------------------------------- #
 # The Theorem 2 round-trip pipeline
 # --------------------------------------------------------------------------- #
@@ -471,7 +442,6 @@ def machine_roundtrip_report(
 __all__ = [
     "RoundTripReport",
     "algorithm_matches_formula",
-    "disagreement_witness",
     "formula_output",
     "formula_outputs",
     "machine_roundtrip_report",

@@ -217,17 +217,8 @@ class FormulaAlgorithm(Algorithm):
         return f"FormulaAlgorithm[{self._class}]({_formula_label(self._original)})"
 
     @property
-    def formula(self) -> Formula:
-        return self._original
-
-    @property
     def problem_class(self) -> ProblemClass:
         return self._class
-
-    @property
-    def running_time_bound(self) -> int:
-        """The guaranteed bound ``md(psi) + 1`` on the number of rounds."""
-        return modal_depth(self._formula) + 1
 
     # ------------------------------------------------------------------ #
     # Three-valued evaluation helpers
@@ -467,22 +458,8 @@ class CompiledFormulaAlgorithm(Algorithm):
         return f"CompiledFormulaAlgorithm[{self._class}]({_formula_label(self._original)})"
 
     @property
-    def formula(self) -> Formula:
-        return self._original
-
-    @property
     def problem_class(self) -> ProblemClass:
         return self._class
-
-    @property
-    def subformula_count(self) -> int:
-        """The number of distinct subformulas (= state width in bytes)."""
-        return self._count
-
-    @property
-    def running_time_bound(self) -> int:
-        """The guaranteed bound ``md(psi) + 1`` on the number of rounds."""
-        return modal_depth(self._formula) + 1
 
     # ------------------------------------------------------------------ #
     # Flat three-valued evaluation

@@ -13,7 +13,6 @@ from repro.obs.export import (
     aggregate_spans,
     format_metrics_table,
     format_span_table,
-    json_dump,
     load_trace,
     prometheus_text,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "gauge",
     "get_logger",
     "histogram",
-    "json_dump",
     "load_trace",
     "merge_snapshot",
     "prometheus_text",

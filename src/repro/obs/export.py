@@ -1,14 +1,13 @@
-"""Exporters: Prometheus text format, JSON dumps, and trace aggregation."""
+"""Exporters: Prometheus text format and trace aggregation."""
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable
 
 __all__ = [
     "prometheus_text",
-    "json_dump",
     "load_trace",
     "aggregate_spans",
     "format_span_table",
@@ -56,13 +55,6 @@ def prometheus_text(snapshot: dict[str, Any]) -> str:
         lines.append(f"{prom}_sum {_prom_value(hist['sum'])}")
         lines.append(f"{prom}_count {hist['count']}")
     return "\n".join(lines) + "\n"
-
-
-def json_dump(snapshot: dict[str, Any], stream: TextIO | None = None, indent: int = 2) -> str:
-    text = json.dumps(snapshot, indent=indent, sort_keys=True)
-    if stream is not None:
-        stream.write(text + "\n")
-    return text
 
 
 def load_trace(path: str) -> list[dict[str, Any]]:

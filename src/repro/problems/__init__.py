@@ -1,9 +1,6 @@
 """Graph problems (Section 1.4) and adversarial verification of algorithms.
 
 * :mod:`~repro.problems.base` -- the :class:`GraphProblem` interface.
-* :mod:`~repro.problems.classic` -- the classical problems the paper uses as
-  motivation: maximal independent set, vertex colouring, Eulerian decision,
-  vertex cover and friends.
 * :mod:`~repro.problems.separating` -- the three bespoke problems that
   separate the classes (Theorems 11, 13 and 17).
 * :mod:`~repro.problems.verification` -- ``solves(algorithm, problem, ...)``:
@@ -11,15 +8,7 @@
   every (or every consistent) port numbering.
 """
 
-from repro.problems.base import GraphProblem, enumerate_solutions
-from repro.problems.classic import (
-    DegreeLabelling,
-    DominatingSet,
-    EulerianDecision,
-    MaximalIndependentSet,
-    VertexColouring,
-    VertexCover,
-)
+from repro.problems.base import GraphProblem
 from repro.problems.separating import (
     LeafElectionInStars,
     OddOddNeighbours,
@@ -29,13 +18,6 @@ from repro.problems.verification import find_counterexample, solves
 
 __all__ = [
     "GraphProblem",
-    "enumerate_solutions",
-    "DegreeLabelling",
-    "DominatingSet",
-    "EulerianDecision",
-    "MaximalIndependentSet",
-    "VertexColouring",
-    "VertexCover",
     "LeafElectionInStars",
     "OddOddNeighbours",
     "SymmetryBreakingInMatchlessRegular",

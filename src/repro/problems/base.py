@@ -4,15 +4,12 @@ A graph problem ``Pi`` associates with each graph ``G`` a set ``Pi(G)`` of
 admissible solutions, each solution being a labelling ``S : V -> Y`` of the
 nodes with values from a finite set.  Following the paper, problems are
 specified here by a *validity predicate* (``is_solution``), which is all that
-adversarial verification needs; for small graphs the admissible solutions can
-also be enumerated explicitly.
+adversarial verification needs.
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
-from collections.abc import Iterator, Sequence
 from typing import Any
 
 from repro.graphs.graph import Graph, Node
@@ -21,7 +18,7 @@ from repro.graphs.graph import Graph, Node
 class GraphProblem(abc.ABC):
     """A graph problem given by its validity predicate."""
 
-    #: The finite output alphabet ``Y`` (used by :func:`enumerate_solutions`).
+    #: The finite output alphabet ``Y``.
     outputs: tuple[Any, ...] = (0, 1)
 
     @property
@@ -33,30 +30,5 @@ class GraphProblem(abc.ABC):
     def is_solution(self, graph: Graph, assignment: dict[Node, Any]) -> bool:
         """Whether ``assignment`` is an admissible solution for ``graph``."""
 
-    def restrict_to_outputs(self, assignment: dict[Node, Any]) -> bool:
-        """Whether every assigned value is in the output alphabet."""
-        return all(value in self.outputs for value in assignment.values())
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def enumerate_solutions(
-    problem: GraphProblem, graph: Graph, outputs: Sequence[Any] | None = None
-) -> Iterator[dict[Node, Any]]:
-    """All admissible solutions of ``problem`` on ``graph`` (brute force).
-
-    Intended for small witness graphs: the search space is
-    ``|outputs| ** |V|``.
-    """
-    alphabet = tuple(outputs) if outputs is not None else problem.outputs
-    nodes = graph.nodes
-    for values in itertools.product(alphabet, repeat=len(nodes)):
-        assignment = dict(zip(nodes, values))
-        if problem.is_solution(graph, assignment):
-            yield assignment
-
-
-def has_solution(problem: GraphProblem, graph: Graph) -> bool:
-    """Whether the problem admits at least one solution on ``graph``."""
-    return next(enumerate_solutions(problem, graph), None) is not None

@@ -7,15 +7,10 @@ from repro.core.hierarchy import (
     LINEAR_ORDER,
     PROVEN_EQUALITIES,
     PROVEN_SEPARATIONS,
-    are_equal,
-    collapse,
     distinct_levels,
     is_contained_in,
-    is_strictly_contained_in,
     level_of,
-    separation_between,
     summary,
-    trivially_contained_in,
 )
 from repro.machines.models import ProblemClass
 
@@ -48,23 +43,6 @@ class TestQueries:
             for second in classes:
                 assert is_contained_in(first, second) or is_contained_in(second, first)
 
-    def test_equalities(self):
-        assert are_equal(ProblemClass.MB, ProblemClass.VB)
-        assert are_equal(ProblemClass.SV, ProblemClass.VV)
-        assert not are_equal(ProblemClass.SB, ProblemClass.MB)
-
-    def test_strict_containments(self):
-        assert is_strictly_contained_in(ProblemClass.SB, ProblemClass.MB)
-        assert is_strictly_contained_in(ProblemClass.VB, ProblemClass.SV)
-        assert is_strictly_contained_in(ProblemClass.VV, ProblemClass.VVC)
-        assert not is_strictly_contained_in(ProblemClass.MV, ProblemClass.SV)
-
-    def test_collapse_representatives(self):
-        assert collapse(ProblemClass.MV) is ProblemClass.SV
-        assert collapse(ProblemClass.VB) is ProblemClass.VB
-        assert collapse(ProblemClass.MB) is ProblemClass.VB
-        assert collapse(ProblemClass.VVC) is ProblemClass.VVC
-
     def test_proven_results_are_consistent_with_levels(self):
         for equality in PROVEN_EQUALITIES:
             levels = {level_of(cls) for cls in equality}
@@ -72,26 +50,29 @@ class TestQueries:
         for smaller, larger, _ in PROVEN_SEPARATIONS:
             assert level_of(smaller) + 1 == level_of(larger)
 
-    def test_separation_between(self):
-        assert separation_between(ProblemClass.MB, ProblemClass.VB) is None
-        assert "Theorem 13" in separation_between(ProblemClass.SB, ProblemClass.MB)
-        assert "Theorem 11" in separation_between(ProblemClass.VB, ProblemClass.SV)
-        assert "Theorem 17" in separation_between(ProblemClass.VV, ProblemClass.VVC)
-        # For distant classes the lowest separating theorem is reported.
-        assert "Theorem 13" in separation_between(ProblemClass.SB, ProblemClass.VVC)
-
 
 class TestConsistencyWithTrivialOrder:
+    def test_trivial_order_is_a_partial_order(self):
+        classes = list(ProblemClass)
+        for first in classes:
+            assert first.trivially_contains(first)
+            for second in classes:
+                if first is not second and first.trivially_contains(second):
+                    assert not second.trivially_contains(first)
+                for third in classes:
+                    if first.trivially_contains(second) and second.trivially_contains(third):
+                        assert first.trivially_contains(third)
+
     def test_proven_order_refines_the_trivial_order(self):
         """Whatever was trivially contained is still contained after the collapse."""
         for smaller in ProblemClass:
             for larger in ProblemClass:
-                if trivially_contained_in(smaller, larger):
+                if larger.trivially_contains(smaller):
                     assert is_contained_in(smaller, larger)
 
     def test_collapse_adds_new_containments(self):
         # VB ⊆ SV is *not* trivial but holds in the proven order.
-        assert not trivially_contained_in(ProblemClass.VB, ProblemClass.SV)
+        assert not ProblemClass.SV.trivially_contains(ProblemClass.VB)
         assert is_contained_in(ProblemClass.VB, ProblemClass.SV)
 
 

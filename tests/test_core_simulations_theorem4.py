@@ -63,7 +63,6 @@ class TestConstruction:
         simulation = simulate_multiset_with_set(GatherDegreesAlgorithm(), delta=3)
         assert simulation.model.receive is ReceiveMode.SET
         assert simulation.model.send is SendMode.PORT
-        assert simulation.symmetry_breaking_rounds == 6
         assert simulation.inner.name == "GatherDegreesAlgorithm"
 
 

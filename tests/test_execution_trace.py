@@ -71,11 +71,11 @@ class TestMessageSize:
 
 
 class TestTraceQueries:
-    def test_states_at_and_rounds(self):
+    def test_state_history_and_rounds(self):
         result = run(RoundCounterAlgorithm(2), cycle_graph(3), record_trace=True)
         trace = result.trace
         assert trace.rounds == 2
-        assert set(trace.states_at(0).values()) == {0}
+        assert set(trace.state_history[0].values()) == {0}
 
     def test_messages_received_by(self):
         result = run(GatherDegreesAlgorithm(), star_graph(3), record_trace=True)
@@ -84,12 +84,10 @@ class TestTraceQueries:
         assert set(centre_messages.keys()) == {1, 2, 3}
         assert set(centre_messages.values()) == {1}
 
-    def test_volume_and_max_size(self):
+    def test_max_message_size(self):
         result = run(GatherDegreesAlgorithm(), star_graph(3), record_trace=True)
         trace = result.trace
         assert trace.max_message_size() == 1
-        # 3 messages to the centre + 1 to each leaf.
-        assert trace.total_message_volume() == 6
 
     def test_messages_nesting_earlier_rounds(self):
         # Round t's message pairs round t-1's, as Theorem 4's betas do.
@@ -99,10 +97,8 @@ class TestTraceQueries:
             message = (message, message)
             trace.received_messages.append({(0, 1): message, (1, 1): message})
         assert trace.max_message_size() == 2**65 - 1
-        assert trace.total_message_volume() == 2 * sum(2**t - 1 for t in range(2, 66))
 
     def test_empty_trace(self):
         trace = Trace()
         assert trace.rounds == 0
         assert trace.max_message_size() == 0
-        assert trace.total_message_volume() == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -23,14 +24,36 @@ class TestRegistry:
             run_experiment("E99")
 
 
+#: sha256 of ``json.dumps(result.to_dict(), indent=2)`` for each experiment's
+#: record.  CI pins the sha256 of the whole ``python -m repro.experiments
+#: --json`` report as well.
+RECORD_SHA256 = {
+    "E1": "f6b564beed516e4d1242e50708572034bcd43d2453c0e0636c7a90a88caf6784",
+    "E2": "221ad4efc58bc46e19c07389329b230fee1c268dafcc784679b8c19bca21fb29",
+    "E3": "7f070ff2aecbab4d92623f720808795f7d516712497900ad9120409dcdf58ff6",
+    "E4": "cc9257bb37b1b41ac92f3406b4940cba287d2b3e521e81bb2e5317b300ac6cad",
+    "E5": "14aba1c92e6438b6cf4f3b9c3624d7867f01deb5582b039a4749d0673176bdb4",
+    "E6": "57eb76075c03db1d7061741ad889a317bc595aad684f62ca7046a5683a237469",
+    "E7": "62acebae6eb94bdf4940b1082f07947c6fff834cc177fa785f4fc4fb9f4b994a",
+    "E8": "5975fcb37b92cc832e14f1d85ddadb615906220fb979c0ee712915e5afe68eb4",
+    "E9": "3ea361a044748be03c504fa4a599b9d37eef1511cd2cdec58cc3b8c41bd150c0",
+    "E10": "3aa97f5925a54eee9c9733c7e7cefddd96d7c08a13329519c1e90a75172022f1",
+    "E11": "3dc91051ee99ede0989b053ec95e8c589946a6e52fb7d6bcd213920f72f50385",
+    "E12": "4e3baf0a04274633076354e5446b4964417881b9a31319887619c101892bb1d5",
+}
+
+
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS, key=lambda e: int(e[1:])))
 def test_experiment_matches_paper(experiment_id):
-    """Each experiment regenerates its paper artefact with no mismatching rows."""
+    """Each experiment regenerates its paper artefact with no mismatching rows,
+    and its record is byte-identical to the pinned one."""
     result = run_experiment(experiment_id)
     assert isinstance(result, ExperimentResult)
     assert result.rows, "an experiment must report at least one comparison"
     mismatches = [row.metric for row in result.rows if not row.matches]
     assert not mismatches, f"{experiment_id} mismatches: {mismatches}"
+    record = json.dumps(result.to_dict(), indent=2).encode()
+    assert hashlib.sha256(record).hexdigest() == RECORD_SHA256[experiment_id]
 
 
 @pytest.mark.parametrize(

@@ -1,28 +1,66 @@
-"""Unit tests for double covers, symmetric port numberings and local views."""
+"""Unit tests for double covers and symmetric port numberings."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.graphs.covers import (
-    bipartite_double_cover,
-    local_view,
-    symmetric_port_numbering,
-    view_classes,
-)
+from repro.graphs.covers import bipartite_double_cover, symmetric_port_numbering
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     figure9_graph,
+    grid_graph,
     hypercube_graph,
     path_graph,
     star_graph,
 )
-from repro.logic.bisimulation import bisimilar_within, bounded_bisimilarity_partition
+from repro.logic.bisimulation import bisimilar_within
 from repro.modal.encoding import KripkeVariant, kripke_encoding
 
 
+#: Connected base graphs, bipartite and not, for the covering-map checks.
+BASES = [
+    path_graph(4),
+    star_graph(3),
+    cycle_graph(5),
+    cycle_graph(6),
+    complete_graph(4),
+    grid_graph(2, 3),
+    figure9_graph(),
+]
+BASE_IDS = ["P4", "star3", "C5", "C6", "K4", "grid2x3", "figure9"]
+
+
 class TestBipartiteDoubleCover:
+    @pytest.mark.parametrize("graph", BASES, ids=BASE_IDS)
+    def test_projection_is_a_covering_map(self, graph):
+        """``(v, side) -> v`` maps each neighbourhood one-to-one onto ``v``'s."""
+        double = bipartite_double_cover(graph)
+        assert double.number_of_nodes == 2 * graph.number_of_nodes
+        assert double.number_of_edges == 2 * graph.number_of_edges
+        assert double.bipartition() is not None
+        for v in graph.nodes:
+            for side in (1, 2):
+                lifted = double.neighbors((v, side))
+                assert {other for _, other in lifted} == {3 - side}
+                projected = [u for u, _ in lifted]
+                assert len(projected) == len(set(projected)) == graph.degree(v)
+                assert set(projected) == set(graph.neighbors(v))
+
+    @pytest.mark.parametrize("graph", BASES, ids=BASE_IDS)
+    def test_cover_is_connected_iff_base_is_not_bipartite(self, graph):
+        assert graph.is_connected()
+        components = bipartite_double_cover(graph).connected_components()
+        if graph.bipartition() is None:
+            assert len(components) == 1
+        else:
+            # Two components, each holding exactly one lift of every node.
+            assert len(components) == 2
+            for component in components:
+                projected = [v for v, _ in component]
+                assert len(projected) == graph.number_of_nodes
+                assert set(projected) == set(graph.nodes)
+
     def test_node_and_edge_counts(self):
         graph = cycle_graph(5)
         double = bipartite_double_cover(graph)
@@ -31,7 +69,7 @@ class TestBipartiteDoubleCover:
 
     def test_double_cover_is_bipartite_and_regular(self):
         double = bipartite_double_cover(complete_graph(4))
-        assert double.is_bipartite()
+        assert double.bipartition() is not None
         assert double.is_regular(3)
 
     def test_double_cover_of_odd_cycle_is_even_cycle(self):
@@ -75,95 +113,3 @@ class TestSymmetricPortNumbering:
         numbering = symmetric_port_numbering(graph)
         mapping = numbering.as_mapping()
         assert set(mapping.values()) == set(numbering.ports())
-
-
-class TestLocalViews:
-    def test_radius_zero_is_degree(self):
-        graph = star_graph(3)
-        assert local_view(graph, 0, 0) == (3,)
-        assert local_view(graph, 1, 0) == (1,)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            local_view(path_graph(2), 0, -1)
-
-    def test_cycle_nodes_share_views_at_all_radii(self):
-        graph = cycle_graph(6)
-        for radius in range(4):
-            assert len(view_classes(graph, radius)) == 1
-
-    def test_path_endpoints_versus_middle(self):
-        graph = path_graph(5)
-        assert local_view(graph, 0, 1) != local_view(graph, 2, 1)
-
-    def test_counting_versus_set_views(self):
-        # A node with two degree-1 neighbours versus one degree-1 neighbour:
-        # the set-view cannot tell them apart at radius 1, the counting view can.
-        star = star_graph(2)
-        path = path_graph(2)
-        counting_star = local_view(star, 0, 1, counting=True)
-        counting_path = local_view(path, 0, 1, counting=True)
-        set_star = local_view(star, 0, 1, counting=False)
-        set_path = local_view(path, 0, 1, counting=False)
-        assert counting_star != counting_path
-        assert set_star != set_path  # degrees differ, so even the root labels differ
-        # Same-degree example: the Theorem 13 witnesses.
-        from repro.graphs.generators import odd_odd_gadget_pair
-
-        graph, first, second = odd_odd_gadget_pair()
-        assert local_view(graph, first, 1, counting=False) == local_view(
-            graph, second, 1, counting=False
-        )
-        assert local_view(graph, first, 1, counting=True) != local_view(
-            graph, second, 1, counting=True
-        )
-
-    def test_large_radius_views_are_feasible_after_memoization(self):
-        # Regression: the naive recursion rebuilt identical subtrees once per
-        # tree position (3^12 positions at radius 12 on a 3-regular graph);
-        # the memoized builder does n * (radius + 1) subtree constructions.
-        from repro.graphs.generators import random_regular_graph
-
-        graph = random_regular_graph(3, 50, seed=42)
-        views = {node: local_view(graph, node, 12) for node in graph.nodes}
-        assert len(views) == 50
-        # Grouping at the same radius agrees with the per-node views.
-        classes = view_classes(graph, 12)
-        for nodes in classes.values():
-            representative = views[next(iter(nodes))]
-            assert all(views[node] == representative for node in nodes)
-
-    def test_memoized_views_equal_naive_views_at_small_radius(self):
-        def naive(graph, current, depth, counting):
-            if depth == 0:
-                return (graph.degree(current),)
-            children = sorted(
-                naive(graph, n, depth - 1, counting) for n in graph.neighbors(current)
-            )
-            if not counting:
-                children = [
-                    child
-                    for position, child in enumerate(children)
-                    if position == 0 or children[position - 1] != child
-                ]
-            return (graph.degree(current), tuple(children))
-
-        graph = figure9_graph()
-        for counting in (False, True):
-            for radius in range(4):
-                for node in graph.nodes:
-                    assert local_view(graph, node, radius, counting=counting) == naive(
-                        graph, node, radius, counting
-                    )
-
-    def test_views_match_bounded_bisimilarity(self):
-        graph = figure9_graph()
-        encoding = kripke_encoding(graph, variant=KripkeVariant.NEITHER)
-        for radius in (1, 2):
-            partition = bounded_bisimilarity_partition(encoding, radius, graded=True)
-            views = view_classes(graph, radius, counting=True)
-            # Two nodes share a view exactly when they share a partition block.
-            for nodes in views.values():
-                blocks = {partition[node] for node in nodes}
-                assert len(blocks) == 1
-            assert len(views) == len(set(partition.values()))

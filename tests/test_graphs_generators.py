@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.graphs.generators import (
-    all_graphs_with_max_degree,
     circulant_graph,
     complete_bipartite_graph,
     complete_graph,
@@ -14,7 +13,6 @@ from repro.graphs.generators import (
     figure9_graph,
     grid_graph,
     hypercube_graph,
-    matchless_regular_graph,
     path_graph,
     random_bounded_degree_graph,
     random_graph,
@@ -62,19 +60,19 @@ class TestStandardFamilies:
     def test_complete_bipartite(self):
         graph = complete_bipartite_graph(2, 3)
         assert graph.number_of_edges == 6
-        assert graph.is_bipartite()
+        assert graph.bipartition() is not None
 
     def test_grid(self):
         graph = grid_graph(3, 4)
         assert graph.number_of_nodes == 12
         assert graph.number_of_edges == 3 * 3 + 2 * 4
-        assert graph.is_bipartite()
+        assert graph.bipartition() is not None
 
     def test_hypercube(self):
         graph = hypercube_graph(3)
         assert graph.number_of_nodes == 8
         assert graph.is_regular(3)
-        assert graph.is_bipartite()
+        assert graph.bipartition() is not None
 
     def test_random_regular(self):
         graph = random_regular_graph(3, 8, seed=1)
@@ -139,7 +137,7 @@ class TestCampaignFamilies:
         base = star_graph(4)
         cover = double_cover_graph(base)
         assert cover.number_of_nodes == 2 * base.number_of_nodes
-        assert cover.is_bipartite()
+        assert cover.bipartition() is not None
         for node in base.nodes:
             assert cover.degree((node, 1)) == base.degree(node)
             assert cover.degree((node, 2)) == base.degree(node)
@@ -175,13 +173,6 @@ class TestFigure9Graph:
         assert len(components) == 3
         assert all(len(component) % 2 == 1 for component in components)
 
-    def test_generalisation_requires_odd_copies(self):
-        with pytest.raises(ValueError):
-            matchless_regular_graph(4)
-        graph = matchless_regular_graph(5)
-        assert graph.is_connected()
-        assert not has_perfect_matching(graph)
-
 
 class TestOddOddGadget:
     def test_witnesses_have_same_degree(self, odd_odd_witness):
@@ -197,14 +188,3 @@ class TestOddOddGadget:
         graph, _, _ = odd_odd_witness
         assert len(graph.connected_components()) == 2
         assert graph.max_degree() == 3
-
-
-class TestExhaustiveEnumeration:
-    def test_all_graphs_small(self):
-        graphs = all_graphs_with_max_degree(3, 2)
-        # 8 graphs on 3 labelled nodes; the triangle has max degree 2, so all qualify.
-        assert len(graphs) == 8
-
-    def test_all_graphs_respect_bound(self):
-        for graph in all_graphs_with_max_degree(4, 1):
-            assert graph.max_degree() <= 1

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.execution.runner import run
+from repro.graphs.covers import bipartite_double_cover
+from repro.graphs.ports import PortNumbering, random_port_numbering
 from repro.logic.bisimulation import (
-    are_bisimilar,
     bisimilarity_classes,
     bisimilarity_partition,
     bisimilar_within,
@@ -16,8 +20,17 @@ from repro.logic.bisimulation import (
 from repro.logic.kripke import KripkeModel
 from repro.logic.semantics import extension
 from repro.logic.syntax import Diamond, GradedDiamond, Not, Prop
-from repro.graphs.generators import cycle_graph, odd_odd_gadget_pair, path_graph
-from repro.modal.encoding import KripkeVariant, kripke_encoding
+from repro.graphs.generators import (
+    cycle_graph,
+    odd_odd_gadget_pair,
+    path_graph,
+    random_graph,
+    random_regular_graph,
+)
+from repro.machines.library import random_machine, reference_machine
+from repro.machines.models import ProblemClass, ReceiveMode
+from repro.machines.state_machine import algorithm_from_machine
+from repro.modal.encoding import KripkeVariant, kripke_encoding, variant_for_class
 
 
 def _cycle_model(n: int) -> KripkeModel:
@@ -30,6 +43,15 @@ def _counting_pair() -> tuple[KripkeModel, KripkeModel]:
     one = KripkeModel(["r", "c1"], {"R": [("r", "c1")]}, {"p": ["c1"]})
     two = KripkeModel(["r", "c1", "c2"], {"R": [("r", "c1"), ("r", "c2")]}, {"p": ["c1", "c2"]})
     return one, two
+
+
+def _counting_model() -> KripkeModel:
+    """Both trees of :func:`_counting_pair` in one model, rooted at r1 and r2."""
+    return KripkeModel(
+        ["r1", "a", "r2", "b", "c"],
+        {"R": [("r1", "a"), ("r2", "b"), ("r2", "c")]},
+        {"p": ["a", "b", "c"]},
+    )
 
 
 class TestPlainBisimilarity:
@@ -50,18 +72,29 @@ class TestPlainBisimilarity:
         assert partition[0] != partition[1]
 
     def test_cross_model_bisimilarity(self):
-        # Cycles of different (even) lengths are bisimilar when unlabelled.
-        assert are_bisimilar(_cycle_model(4), 0, _cycle_model(6), 3)
+        # Cycles of different (even) lengths are bisimilar when unlabelled:
+        # a 4-cycle and a 6-cycle side by side in one model.
+        arcs = [((n, i), (n, (i + 1) % n)) for n in (4, 6) for i in range(n)]
+        model = KripkeModel(
+            worlds=[world for arc in arcs for world in arc],
+            relations={"R": arcs + [(v, u) for u, v in arcs]},
+            valuation={},
+        )
+        assert bisimilar_within(model, [(4, 0), (6, 3)])
 
     def test_counting_does_not_matter_for_plain_bisimilarity(self):
-        one, two = _counting_pair()
-        assert are_bisimilar(one, "r", two, "r")
+        assert bisimilar_within(_counting_model(), ["r1", "r2"])
 
 
 class TestGradedBisimilarity:
     def test_counting_matters_for_graded_bisimilarity(self):
-        one, two = _counting_pair()
-        assert not are_bisimilar(one, "r", two, "r", graded=True)
+        assert not bisimilar_within(_counting_model(), ["r1", "r2"], graded=True)
+
+    def test_regular_graph_worlds_are_graded_bisimilar(self):
+        # On a regular graph every node looks alike to MB/SB algorithms.
+        graph = random_regular_graph(3, 16, seed=1)
+        encoding = kripke_encoding(graph, variant=KripkeVariant.NEITHER)
+        assert len(bisimilarity_classes(encoding, graded=True)) == 1
 
     def test_graded_refines_plain(self):
         graph = odd_odd_gadget_pair()[0]
@@ -192,3 +225,55 @@ class TestFact1:
                 for w in encoding.worlds:
                     if partition[v] == partition[w]:
                         assert (v in truth) == (w in truth)
+
+    @pytest.mark.parametrize(
+        "seed, base",
+        [
+            (0, random_graph(8, 0.35, seed=0)),
+            (1, random_graph(8, 0.35, seed=1)),
+            (2, odd_odd_gadget_pair()[0]),
+        ],
+        ids=["random-0", "random-1", "odd-odd"],
+    )
+    @pytest.mark.parametrize("problem_class", list(ProblemClass), ids=lambda cls: cls.name)
+    def test_machine_outputs_are_constant_on_bisimilarity_blocks(self, problem_class, seed, base):
+        """A ``T``-round machine of a class cannot separate ``T``-round bisimilar nodes.
+
+        The graph is the double cover of ``base`` with the base's port
+        numbering lifted to both copies, so each node ``(v, 1)`` has a twin
+        ``(v, 2)`` with the same view: every block of the partition is
+        non-trivial and the check is never vacuous.  On the odd-odd gadget
+        counting matters: plain blocks in place of graded ones would mix
+        outputs of the Multiset classes' machines.
+        """
+        numbering = random_port_numbering(
+            base, random.Random(seed), consistent=problem_class.requires_consistency
+        )
+        graph = bipartite_double_cover(base)
+
+        def lift(assignment):
+            return {
+                (v, side): [(u, 3 - side) for u in assignment[v]]
+                for v in base.nodes
+                for side in (1, 2)
+            }
+
+        lifted = PortNumbering(
+            graph, lift(numbering.outgoing_assignment()), lift(numbering.incoming_assignment())
+        )
+        delta = base.max_degree()
+        encoding = kripke_encoding(graph, lifted, variant_for_class(problem_class), delta=delta)
+        graded = problem_class.model.receive is ReceiveMode.MULTISET
+        machines = (
+            (1, random_machine(problem_class, delta, seed)),
+            (2, reference_machine(problem_class, delta, rounds=2)),
+        )
+        for rounds, machine in machines:
+            partition = bounded_bisimilarity_partition(encoding, rounds, graded=graded)
+            assert all(partition[(v, 1)] == partition[(v, 2)] for v in base.nodes)
+            result = run(algorithm_from_machine(machine.as_state_machine()), graph, lifted)
+            assert result.rounds == rounds
+            outputs_by_block: dict[int, set] = {}
+            for node in graph.nodes:
+                outputs_by_block.setdefault(partition[node], set()).add(result.outputs[node])
+            assert all(len(outputs) == 1 for outputs in outputs_by_block.values())

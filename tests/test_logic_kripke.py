@@ -57,27 +57,6 @@ class TestQueries:
         assert not model.holds("q", "w")
 
 
-class TestConstructions:
-    def test_disjoint_union(self):
-        model = _simple_model()
-        union = model.disjoint_union(model)
-        assert len(union.worlds) == 6
-        assert ((0, "u"), (0, "v")) in union.relation("R")
-        assert ((1, "u"), (1, "v")) in union.relation("R")
-        assert ((0, "u"), (1, "v")) not in union.relation("R")
-        assert union.holds("p", (0, "u")) and union.holds("p", (1, "u"))
-
-    def test_restrict_indices(self):
-        model = KripkeModel(
-            ["a", "b"],
-            {"R": [("a", "b")], "S": [("b", "a")]},
-            {},
-        )
-        restricted = model.restrict_indices(["R"])
-        assert restricted.indices == frozenset({"R"})
-        assert restricted.relation("S") == frozenset()
-
-
 class TestValueSemantics:
     def test_equality_and_hash(self):
         assert _simple_model() == _simple_model()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engines import available_engines
 from repro.logic.kripke import KripkeModel
 from repro.logic.semantics import equivalent_on, extension, satisfies
 from repro.logic.syntax import (
@@ -116,3 +117,42 @@ class TestSatisfies:
     def test_unknown_world_rejected(self, chain):
         with pytest.raises(ValueError):
             satisfies(chain, 99, Prop("p"))
+
+
+@pytest.mark.parametrize("engine", available_engines(requires={"logic"}))
+class TestSatisfiesOnEveryEngine:
+    """``satisfies`` answers from each logic engine's own extension."""
+
+    def test_connectives_and_modalities(self, chain, engine):
+        expected = {
+            Prop("p"): {0, 2},
+            Not(Prop("p")): {1, 3},
+            Implies(Prop("p"), Prop("q")): {1, 3},
+            Diamond(Prop("p")): {1},
+            Box(Prop("p")): {1, 3},
+            Diamond(Diamond(Prop("q"))): {1},
+        }
+        for formula, worlds in expected.items():
+            holds = {world for world in chain.worlds if satisfies(chain, world, formula, engine=engine)}
+            assert holds == worlds, formula
+
+    def test_box_holds_vacuously_at_a_dead_end(self, chain, engine):
+        assert satisfies(chain, 3, Box(Bottom()), engine=engine)
+        assert not satisfies(chain, 3, Diamond(Top()), engine=engine)
+        assert not satisfies(chain, 2, Box(Bottom()), engine=engine)
+
+    def test_graded_diamond_counts_successors(self, branching, engine):
+        for grade, holds in ((0, True), (1, True), (2, True), (3, False)):
+            formula = GradedDiamond(Prop("p"), grade=grade)
+            assert satisfies(branching, "root", formula, engine=engine) is holds
+        assert not satisfies(branching, "a", GradedDiamond(Prop("p"), grade=1), engine=engine)
+
+    def test_indexed_diamonds_use_their_relation(self, engine):
+        model = KripkeModel(
+            worlds=["x", "y"],
+            relations={"a": [("x", "y")], "b": []},
+            valuation={"p": ["y"]},
+        )
+        assert satisfies(model, "x", Diamond(Prop("p"), index="a"), engine=engine)
+        assert not satisfies(model, "x", Diamond(Prop("p"), index="b"), engine=engine)
+        assert not satisfies(model, "y", Diamond(Prop("p"), index="a"), engine=engine)

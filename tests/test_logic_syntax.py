@@ -20,10 +20,7 @@ from repro.logic.syntax import (
     Top,
     conjunction,
     disjunction,
-    is_graded,
-    logic_of,
     modal_depth,
-    modal_indices,
     propositions,
     subformulas,
 )
@@ -88,32 +85,6 @@ class TestStructuralQueries:
     def test_propositions(self):
         phi = Or(Prop("a"), Diamond(And(Prop("b"), Prop("a"))))
         assert propositions(phi) == frozenset({"a", "b"})
-
-    def test_modal_indices(self):
-        phi = And(Diamond(Prop("p"), index=(1, 2)), GradedDiamond(Prop("q"), 2, index=("*", 1)))
-        assert modal_indices(phi) == frozenset({(1, 2), ("*", 1)})
-
-    def test_is_graded(self):
-        assert is_graded(GradedDiamond(Prop("p"), 3))
-        assert not is_graded(Diamond(Prop("p")))
-
-
-class TestLogicClassification:
-    def test_plain_ml(self):
-        assert logic_of(Diamond(Prop("p"))) == "ML"
-
-    def test_graded_ml(self):
-        assert logic_of(GradedDiamond(Prop("p"), 2)) == "GML"
-
-    def test_multimodal(self):
-        assert logic_of(Diamond(Prop("p"), index=(1, 1))) == "MML"
-
-    def test_graded_multimodal(self):
-        phi = And(Diamond(Prop("p"), index=(1, 1)), GradedDiamond(Prop("q"), 2, index=(1, 2)))
-        assert logic_of(phi) == "GMML"
-
-    def test_propositional_formula_is_ml(self):
-        assert logic_of(And(Prop("p"), Not(Prop("q")))) == "ML"
 
 
 class TestPrinting:

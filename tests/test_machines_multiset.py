@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.machines.multiset import FrozenMultiset
 
 
@@ -14,9 +12,8 @@ class TestBasics:
         assert multiset.count("missing") == 0
         assert len(multiset) == 4
 
-    def test_support_and_to_set(self):
+    def test_to_set(self):
         multiset = FrozenMultiset([1, 1, 2])
-        assert multiset.support() == frozenset({1, 2})
         assert multiset.to_set() == frozenset({1, 2})
 
     def test_contains(self):
@@ -31,7 +28,7 @@ class TestBasics:
     def test_empty(self):
         empty = FrozenMultiset()
         assert len(empty) == 0
-        assert empty.support() == frozenset()
+        assert empty.to_set() == frozenset()
 
 
 class TestEqualityAndHashing:
@@ -56,15 +53,6 @@ class TestConstruction:
     def test_copy_constructor(self):
         original = FrozenMultiset([1, 2, 2])
         assert FrozenMultiset(original) == original
-
-    def test_from_counts(self):
-        multiset = FrozenMultiset.from_counts({"a": 2, "b": 0})
-        assert multiset.count("a") == 2
-        assert "b" not in multiset
-
-    def test_from_counts_rejects_negative(self):
-        with pytest.raises(ValueError):
-            FrozenMultiset.from_counts({"a": -1})
 
     def test_counts_returns_copy(self):
         multiset = FrozenMultiset(["a"])

@@ -1,19 +1,14 @@
-"""Unit tests for the formal state machine and the Algorithm adapters."""
+"""Unit tests for the formal state machine and its Algorithm wrapper."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.algorithms.leaf_election import LeafElectionAlgorithm
-from repro.algorithms.parity import OddOddNeighboursAlgorithm
 from repro.execution.runner import run
-from repro.graphs.generators import cycle_graph, path_graph, star_graph
-from repro.machines.algorithm import NO_MESSAGE, Output
-from repro.machines.state_machine import (
-    FiniteStateMachine,
-    algorithm_from_machine,
-    machine_from_algorithm,
-)
+from repro.graphs.generators import path_graph
+from repro.machines.algorithm import Output
+from repro.machines.state_machine import FiniteStateMachine, algorithm_from_machine
 
 
 def _parity_machine(delta: int = 2) -> FiniteStateMachine:
@@ -91,33 +86,6 @@ class TestMachineAsAlgorithm:
             _parity_machine().as_state_machine(), label="parity"
         )
         assert algorithm.name == "parity"
-
-
-class TestAlgorithmAsMachine:
-    def test_round_trip_preserves_outputs(self):
-        graphs = [star_graph(3), cycle_graph(4), path_graph(4)]
-        for original in (LeafElectionAlgorithm(), OddOddNeighboursAlgorithm()):
-            for graph in graphs:
-                machine = machine_from_algorithm(original, delta_bound=graph.max_degree())
-                wrapped = algorithm_from_machine(machine, label=original.name)
-                assert run(wrapped, graph).outputs == run(original, graph).outputs
-
-    def test_machine_pads_with_no_message(self):
-        machine = machine_from_algorithm(LeafElectionAlgorithm(), delta_bound=3)
-        state = machine.initial_state(1)
-        # A degree-1 node receiving only padding must not be elected.
-        next_state = machine.padded_transition(state, (NO_MESSAGE, NO_MESSAGE, NO_MESSAGE))
-        assert machine.is_stopping(next_state)
-        assert machine.output(next_state) == 0
-
-    def test_halted_adapter_state_is_stable(self):
-        machine = machine_from_algorithm(LeafElectionAlgorithm(), delta_bound=2)
-        state = machine.initial_state(1)
-        halted = machine.padded_transition(state, (1, NO_MESSAGE))
-        assert machine.is_stopping(halted)
-        again = machine.padded_transition(halted, (NO_MESSAGE, NO_MESSAGE))
-        assert again == halted
-        assert machine.outgoing(halted, 1) == NO_MESSAGE
 
 
 class TestOutputProtocol:

@@ -40,11 +40,15 @@ from repro.machines.algorithm import Output, VectorAlgorithm
 from repro.machines.fastpath import fast_path
 from repro.machines.library import class_view, random_machine, reference_machine
 from repro.machines.models import ProblemClass, ReceiveMode, SendMode
-from repro.modal.algorithm_to_formula import FormulaSizeError, formula_for_machine
+from repro.modal.algorithm_to_formula import (
+    DEFAULT_MAX_FORMULA_NODES,
+    FormulaSizeError,
+    formula_for_machine,
+    predict_formula_nodes,
+)
 from repro.modal import correspondence
 from repro.modal.correspondence import (
     algorithm_matches_formula,
-    disagreement_witness,
     machine_roundtrip_report,
     roundtrip_algorithms,
 )
@@ -265,14 +269,13 @@ def test_roundtrip_with_an_empty_selection_is_rejected(selection):
         machine_roundtrip_report(machine, ProblemClass.SB, running_time=1, **{selection: []})
 
 
-@pytest.mark.parametrize("check", [algorithm_matches_formula, disagreement_witness])
-def test_formula_check_without_instances_is_rejected(check):
+def test_formula_check_without_instances_is_rejected():
     """No graph selects no instance: the check must raise, not report
-    agreement (``True`` / no witness) over nothing."""
+    agreement over nothing."""
     formula = Prop("deg1")
     algorithm = algorithm_for_formula(formula, ProblemClass.SB)
     with pytest.raises(ValueError, match="no instance"):
-        check(algorithm, formula, ProblemClass.SB, graphs=[])
+        algorithm_matches_formula(algorithm, formula, ProblemClass.SB, graphs=[])
 
 
 class EchoesAligned(VectorAlgorithm):
@@ -299,9 +302,7 @@ def test_a_disagreement_is_found_before_a_later_numbering_stalls():
     stalls: a disagreement on the first is still reported, and agreement on
     the first still reaches the stall."""
     graph = path_graph(3)
-    witness = disagreement_witness(EchoesAligned(), Bottom(), ProblemClass.VV, [graph])
-    assert witness is not None
-    assert witness[2:] == ({0: 0, 1: 0, 2: 0}, {0: 1, 1: 1, 2: 1})
+    assert not algorithm_matches_formula(EchoesAligned(), Bottom(), ProblemClass.VV, [graph])
     with pytest.raises(ExecutionError, match="did not halt"):
         algorithm_matches_formula(EchoesAligned(), Top(), ProblemClass.VV, [graph], max_rounds=5)
 
@@ -411,18 +412,32 @@ class TestFormulaSizeBudget:
         )
         assert modal_depth(formula) == 1
 
-    def test_prediction_bounds_actual_pool_growth(self):
+    @pytest.mark.parametrize(
+        "problem_class, machine, rounds, exact_growth",
+        [
+            ("SB", "UNIQUE_SB_MACHINE", 1, 41),
+            ("VV", "reference_machine(ProblemClass.VV, 4)", 1, None),
+            ("SV", "reference_machine(ProblemClass.SV, 3, rounds=2)", 2, None),
+            ("MV", "reference_machine(ProblemClass.MV, 3, rounds=2)", 2, None),
+        ],
+        ids=["SB-unique-names", "VV-4-1", "SV-3-2", "MV-3-2"],
+    )
+    def test_prediction_bounds_actual_pool_growth(
+        self, problem_class, machine, rounds, exact_growth
+    ):
         """The estimate is an upper bound on the pool growth it predicts.
 
         Run in a fresh interpreter, where the pool is empty: message names
         never appear in a formula node, so formulas an earlier test interned
         would hide growth (19 nodes after ``_some_odd_neighbour_machine(2)``
         is built, none after a machine differing only in names) and let the
-        bound pass vacuously.
+        bound pass vacuously.  Each construction runs under the default
+        budget.
         """
         code = textwrap.dedent(
-            """
+            f"""
             from repro.logic.syntax import formula_pool
+            from repro.machines.library import reference_machine
             from repro.machines.models import ProblemClass
             from repro.machines.state_machine import FiniteStateMachine
             from repro.modal.algorithm_to_formula import (
@@ -430,20 +445,22 @@ class TestFormulaSizeBudget:
                 predict_formula_nodes,
             )
 
-            machine = FiniteStateMachine(
+            UNIQUE_SB_MACHINE = FiniteStateMachine(
                 delta_bound=2,
-                intermediate_states=frozenset({"u-state-a", "u-state-b"}),
-                stopping_states=frozenset({0, 1}),
-                messages=frozenset({"uniq-m1", "uniq-m2"}),
-                initial_states={0: "u-state-a", 1: "u-state-b", 2: "u-state-a"},
+                intermediate_states=frozenset({{"u-state-a", "u-state-b"}}),
+                stopping_states=frozenset({{0, 1}}),
+                messages=frozenset({{"uniq-m1", "uniq-m2"}}),
+                initial_states={{0: "u-state-a", 1: "u-state-b", 2: "u-state-a"}},
                 message_table=lambda state, port: (
                     "uniq-m1" if state == "u-state-a" else "uniq-m2"
                 ),
                 transition_table=lambda state, padded: 1 if "uniq-m1" in set(padded) else 0,
             )
-            predicted, specs = predict_formula_nodes(machine, ProblemClass.SB, 1)
+            machine = {machine}
+            problem_class = ProblemClass({problem_class!r})
+            predicted, specs = predict_formula_nodes(machine, problem_class, {rounds})
             before = len(formula_pool())
-            formula_for_machine(machine, ProblemClass.SB, 1)
+            formula_for_machine(machine, problem_class, {rounds})
             print(predicted, specs, len(formula_pool()) - before)
             """
         )
@@ -455,8 +472,19 @@ class TestFormulaSizeBudget:
         assert proc.returncode == 0, proc.stderr
         predicted, specs, grown = map(int, proc.stdout.split())
         assert 0 < grown <= predicted
-        assert grown == 41
+        if exact_growth is not None:
+            assert grown == exact_growth
         assert specs > 0
+
+    def test_vv_delta_4_builds_under_the_default_budget(self):
+        """The prediction charges each round's received-message conditions
+        once, as the construction builds them, so the one-round VV formula at
+        Delta=4 (about 38,000 pool nodes) is not refused by the 500,000-node
+        default budget."""
+        machine = reference_machine(ProblemClass.VV, 4)
+        predicted, _ = predict_formula_nodes(machine, ProblemClass.VV, 1)
+        assert predicted <= DEFAULT_MAX_FORMULA_NODES
+        assert modal_depth(formula_for_machine(machine, ProblemClass.VV, 1)) == 1
 
     @pytest.mark.parametrize(
         "name, delta, rounds, grown, dag",

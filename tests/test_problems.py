@@ -1,8 +1,8 @@
-"""Unit tests for graph problems and adversarial verification."""
+"""Unit tests for the separating problems and adversarial verification."""
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
 from repro.algorithms.basic import ConstantAlgorithm, DegreeAlgorithm
 from repro.algorithms.leaf_election import LeafElectionAlgorithm
@@ -15,15 +15,7 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.problems.base import enumerate_solutions, has_solution
-from repro.problems.classic import (
-    DegreeLabelling,
-    DominatingSet,
-    EulerianDecision,
-    MaximalIndependentSet,
-    VertexColouring,
-    VertexCover,
-)
+from repro.problems.base import GraphProblem
 from repro.problems.separating import (
     LeafElectionInStars,
     OddOddNeighbours,
@@ -32,91 +24,6 @@ from repro.problems.separating import (
     is_star,
 )
 from repro.problems.verification import find_counterexample, solves
-
-
-class TestMaximalIndependentSet:
-    def test_valid_solution(self):
-        graph = path_graph(4)
-        assert MaximalIndependentSet().is_solution(graph, {0: 1, 1: 0, 2: 1, 3: 0})
-
-    def test_not_independent(self):
-        graph = path_graph(3)
-        assert not MaximalIndependentSet().is_solution(graph, {0: 1, 1: 1, 2: 0})
-
-    def test_not_maximal(self):
-        graph = path_graph(3)
-        assert not MaximalIndependentSet().is_solution(graph, {0: 0, 1: 0, 2: 0})
-
-    def test_enumeration_on_triangle(self):
-        graph = cycle_graph(3)
-        solutions = list(enumerate_solutions(MaximalIndependentSet(), graph))
-        assert len(solutions) == 3  # each single vertex
-
-
-class TestVertexColouring:
-    def test_proper_colouring_accepted(self):
-        graph = cycle_graph(4)
-        assert VertexColouring(2).is_solution(graph, {0: 1, 1: 2, 2: 1, 3: 2})
-
-    def test_monochromatic_edge_rejected(self):
-        graph = path_graph(2)
-        assert not VertexColouring(3).is_solution(graph, {0: 1, 1: 1})
-
-    def test_colours_outside_palette_rejected(self):
-        graph = path_graph(2)
-        assert not VertexColouring(2).is_solution(graph, {0: 1, 1: 5})
-
-    def test_odd_cycle_not_2_colourable(self):
-        assert not has_solution(VertexColouring(2), cycle_graph(5))
-        assert has_solution(VertexColouring(3), cycle_graph(5))
-
-    def test_invalid_palette(self):
-        with pytest.raises(ValueError):
-            VertexColouring(0)
-
-
-class TestEulerianDecision:
-    def test_yes_instance_needs_all_ones(self):
-        graph = cycle_graph(4)
-        problem = EulerianDecision()
-        assert problem.is_solution(graph, {node: 1 for node in graph.nodes})
-        assert not problem.is_solution(graph, {0: 0, 1: 1, 2: 1, 3: 1})
-
-    def test_no_instance_needs_a_zero(self):
-        graph = path_graph(3)
-        problem = EulerianDecision()
-        assert problem.is_solution(graph, {0: 0, 1: 1, 2: 1})
-        assert not problem.is_solution(graph, {node: 1 for node in graph.nodes})
-
-
-class TestVertexCoverProblem:
-    def test_cover_validity(self):
-        graph = path_graph(4)
-        assert VertexCover().is_solution(graph, {0: 0, 1: 1, 2: 1, 3: 0})
-        assert not VertexCover().is_solution(graph, {0: 1, 1: 0, 2: 0, 3: 1})
-
-    def test_approximation_ratio(self):
-        graph = star_graph(4)
-        everything = {node: 1 for node in graph.nodes}
-        assert VertexCover().is_solution(graph, everything)
-        assert not VertexCover(approximation_ratio=2).is_solution(graph, everything)
-        assert VertexCover(approximation_ratio=2).is_solution(graph, {0: 1, 1: 1, 2: 0, 3: 0, 4: 0})
-
-    def test_ratio_must_be_at_least_one(self):
-        with pytest.raises(ValueError):
-            VertexCover(approximation_ratio=0.5)
-
-
-class TestOtherClassics:
-    def test_dominating_set(self):
-        graph = star_graph(3)
-        assert DominatingSet().is_solution(graph, {0: 1, 1: 0, 2: 0, 3: 0})
-        assert not DominatingSet().is_solution(graph, {0: 0, 1: 1, 2: 0, 3: 0})
-
-    def test_degree_labelling(self):
-        graph = path_graph(3)
-        assert DegreeLabelling().is_solution(graph, {0: 1, 1: 2, 2: 1})
-        assert not DegreeLabelling().is_solution(graph, {0: 1, 1: 1, 2: 1})
 
 
 class TestSeparatingProblems:
@@ -142,7 +49,11 @@ class TestSeparatingProblems:
     def test_odd_odd_unique_solution(self):
         problem = OddOddNeighbours()
         graph, first, second = odd_odd_gadget_pair()
-        solutions = list(enumerate_solutions(problem, graph))
+        labellings = (
+            dict(zip(graph.nodes, values))
+            for values in itertools.product(problem.outputs, repeat=graph.number_of_nodes)
+        )
+        solutions = [labelling for labelling in labellings if problem.is_solution(graph, labelling)]
         assert len(solutions) == 1
         assert solutions[0][first] == 1 and solutions[0][second] == 0
 
@@ -184,6 +95,10 @@ class TestVerification:
         assert solves(OddOddNeighboursAlgorithm(), OddOddNeighbours(), graphs)
 
     def test_degree_algorithm_solves_degree_labelling(self):
+        class DegreeLabelling(GraphProblem):
+            def is_solution(self, graph, assignment):
+                return all(assignment[node] == graph.degree(node) for node in graph.nodes)
+
         graphs = [path_graph(3), star_graph(4), complete_graph(4)]
         assert solves(DegreeAlgorithm(), DegreeLabelling(), graphs)
 
@@ -201,7 +116,7 @@ class TestVerification:
                 return state + 1
 
         counterexample = find_counterexample(
-            Forever(), DegreeLabelling(), [cycle_graph(3)], max_rounds=5
+            Forever(), OddOddNeighbours(), [cycle_graph(3)], max_rounds=5
         )
         assert counterexample is not None
         assert counterexample[2] is None
