@@ -15,9 +15,8 @@ Run with::
 
 from __future__ import annotations
 
-from repro import run
 from repro.algorithms.vertex_cover import DoubleCoverMatchingVertexCover, cover_from_outputs
-from repro.execution.adversary import port_numberings_to_check
+from repro.execution.adversary import outputs_over_port_numberings
 from repro.graphs.generators import (
     cycle_graph,
     figure9_graph,
@@ -33,12 +32,11 @@ def evaluate(label, graph) -> None:
     optimum = len(minimum_vertex_cover(graph))
     worst = 0
     valid = True
-    for numbering in port_numberings_to_check(
-        graph, consistent_only=True, exhaustive_limit=30, samples=5
+    for _numbering, result in outputs_over_port_numberings(
+        algorithm, graph, consistent_only=True, exhaustive_limit=30, samples=5
     ):
-        result = run(algorithm, graph, numbering)
         cover = cover_from_outputs(result.outputs)
-        valid = valid and is_vertex_cover(graph, cover)
+        valid = valid and result.halted and is_vertex_cover(graph, cover)
         worst = max(worst, len(cover))
     ratio = worst / optimum if optimum else 1.0
     print(

@@ -20,8 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.execution.adversary import port_numberings_to_check
-from repro.execution.engine import run_iter
+from repro.execution.adversary import outputs_over_port_numberings
 from repro.execution.runner import run
 from repro.graphs.graph import Graph, Node
 from repro.graphs.ports import PortNumbering
@@ -64,28 +63,16 @@ class ContainmentEvidence:
         (or under any numbering sharing its output-port assignment, which is
         the guarantee Theorem 8 actually gives).
 
-        The adversarial sweep runs superposed through the sweep engine; a
+        Each graph's numberings run as one adversarial sweep
+        (:func:`~repro.execution.adversary.outputs_over_port_numberings`); a
         simulation that fails to halt counts as a failed verification.
         """
         for algorithm in algorithms:
             simulated = self.simulate(algorithm)
             for graph in graphs:
-                numberings = list(
-                    port_numberings_to_check(
-                        graph, exhaustive_limit=exhaustive_limit, samples=samples
-                    )
-                )
-                results = run_iter(
-                    simulated,
-                    [(graph, numbering) for numbering in numberings],
-                    require_halt=False,
-                    engine="sweep",
-                    memoize_transitions=True,
-                )
-                # Stop at the first invalid simulation run.  (The superposed
-                # sweep engine materializes the whole sweep up front, so only
-                # the comparison work is skipped.)
-                for numbering, result in zip(numberings, results):
+                for numbering, result in outputs_over_port_numberings(
+                    simulated, graph, exhaustive_limit=exhaustive_limit, samples=samples
+                ):
                     if not result.halted or not outputs_valid(graph, numbering, result.outputs):
                         return False
         return True
@@ -164,22 +151,13 @@ class SeparationEvidence:
     ) -> bool:
         """Membership in the larger class: the solver is valid on all inputs."""
         for graph in graphs:
-            results = run_iter(
+            for _numbering, result in outputs_over_port_numberings(
                 self.solver,
-                [
-                    (graph, numbering)
-                    for numbering in port_numberings_to_check(
-                        graph,
-                        consistent_only=self.larger.requires_consistency,
-                        exhaustive_limit=exhaustive_limit,
-                        samples=samples,
-                    )
-                ],
-                require_halt=False,
-                engine="sweep",
-                memoize_transitions=True,
-            )
-            for result in results:
+                graph,
+                consistent_only=self.larger.requires_consistency,
+                exhaustive_limit=exhaustive_limit,
+                samples=samples,
+            ):
                 if not result.halted or not self.is_valid_solution(graph, result.outputs):
                     return False
         return True

@@ -7,8 +7,8 @@ the NumPy vector kernel -- and with them a hand-rolled ``if engine ==
 ladders with data:
 
 * :class:`EngineSpec` declares a backend once: its name, the capabilities it
-  supports (``"trace"``, ``"sweep"``, ``"logic"``, ``"inputs"``), the
-  optional dependency it needs, and which logic backend pairs with it;
+  supports (``"trace"``, ``"sweep"``, ``"logic"``), the optional dependency
+  it needs, and which logic backend pairs with it;
 * :func:`resolve_engine` is the single validation point every public entry
   point calls -- unknown names, capability mismatches and missing optional
   dependencies are diagnosed here and nowhere else, so the error text names
@@ -32,8 +32,6 @@ Capability vocabulary
     The engine materializes per-instance :class:`~repro.execution.trace.Trace`
     objects.  Batch engines (sweep, vector) do not; ``run_iter`` transparently
     falls back to the compiled loop when a trace is requested.
-``"inputs"``
-    The engine accepts per-instance local-input mappings.
 
 Error taxonomy
 --------------
@@ -67,7 +65,7 @@ __all__ = [
 ]
 
 #: The full capability vocabulary (see the module docstring).
-CAPABILITIES = frozenset({"trace", "sweep", "logic", "inputs"})
+CAPABILITIES = frozenset({"trace", "sweep", "logic"})
 
 
 class EngineError(ValueError):
@@ -164,7 +162,7 @@ _REGISTRY: dict[str, EngineSpec] = {
             name="sweep",
             description="superposed batch executor: one transition per "
             "distinct configuration across the whole sweep",
-            capabilities=frozenset({"sweep", "inputs"}),
+            capabilities=frozenset({"sweep"}),
             logic_backend="compiled",
             batched=True,
         ),
@@ -172,21 +170,21 @@ _REGISTRY: dict[str, EngineSpec] = {
             name="compiled",
             description="per-instance compiled loops over flat index arrays "
             "and bitsets (the default engines)",
-            capabilities=frozenset({"trace", "sweep", "logic", "inputs"}),
+            capabilities=frozenset({"trace", "sweep", "logic"}),
             logic_backend="compiled",
         ),
         EngineSpec(
             name="reference",
             description="the seed reference implementations, kept as "
             "differential oracles",
-            capabilities=frozenset({"trace", "sweep", "logic", "inputs"}),
+            capabilities=frozenset({"trace", "sweep", "logic"}),
             logic_backend="reference",
         ),
         EngineSpec(
             name="vector",
             description="NumPy kernel: array scatter/gather sweeps and "
             "packed-uint64 batched model checking",
-            capabilities=frozenset({"sweep", "logic", "inputs"}),
+            capabilities=frozenset({"sweep", "logic"}),
             requirement="numpy",
             probe=_numpy_available,
             logic_backend="vector",

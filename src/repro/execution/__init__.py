@@ -38,14 +38,12 @@ __getattr__, __dir__ = _lazy_exports(
         "Trace": ".trace",
         "message_size": ".trace",
         "run_vector": ".vector",
-        "AdversarialOutcome": ".adversary",
         "outputs_over_port_numberings": ".adversary",
         "port_numberings_to_check": ".adversary",
     },
 )
 
 __all__ = [
-    "AdversarialOutcome",
     "CompiledInstance",
     "ExecutionError",
     "ExecutionResult",

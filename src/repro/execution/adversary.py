@@ -16,14 +16,17 @@ Every later sweep of that graph gets the same validated
 compiled instances the engine caches on each numbering.  The memo lives
 exactly as long as its graph and is never pickled.  Sampled numberings and
 larger enumerations are streamed afresh on every call and never retained.
+
+:func:`outputs_over_port_numberings` is the one place an algorithm runs over
+a graph's adversarial numberings: solvability checks, running times,
+simulation and separation evidence and the algorithm/formula comparison all
+loop over its ``(numbering, result)`` pairs.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import Any
 
 from repro.graphs.graph import Graph
 from repro.graphs.ports import (
@@ -34,28 +37,11 @@ from repro.graphs.ports import (
     random_port_numbering,
 )
 from repro.machines.algorithm import Algorithm
-from repro.execution.engine import run_many
-from repro.execution.runner import DEFAULT_MAX_ROUNDS, ExecutionResult
+from repro.execution.engine import DEFAULT_MAX_ROUNDS, ExecutionResult
+from repro.execution.sweep import run_sweep
 
 #: If a graph has at most this many port numberings, enumerate them all.
 DEFAULT_EXHAUSTIVE_LIMIT = 2_000
-
-
-@dataclass(frozen=True)
-class AdversarialOutcome:
-    """One adversarial execution: the port numbering and what it produced.
-
-    Unpacks as a ``(numbering, result)`` pair, so existing
-    ``for numbering, result in ...`` loops keep working.
-    """
-
-    #: The port numbering the adversary chose.
-    numbering: PortNumbering
-    #: The execution of the algorithm under that numbering.
-    result: ExecutionResult
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter((self.numbering, self.result))
 
 
 def port_numberings_to_check(
@@ -110,17 +96,16 @@ def outputs_over_port_numberings(
     samples: int = 50,
     seed: int = 0,
     max_rounds: int = DEFAULT_MAX_ROUNDS,
-    engine: str = "sweep",
-) -> list[AdversarialOutcome]:
+) -> list[tuple[PortNumbering, ExecutionResult]]:
     """Run ``algorithm`` on ``graph`` under every adversarial port numbering.
 
-    Returns one :class:`AdversarialOutcome` per numbering produced by
-    :func:`port_numberings_to_check` (each unpacks as a
-    ``(numbering, result)`` pair).  The whole sweep executes through the
-    superposed batch engine (:func:`repro.execution.sweep.run_sweep`) by
-    default; ``engine`` selects, through
-    :func:`~repro.execution.engine.run_many`, the vectorized kernel or, as
-    memoizing oracles, the per-instance compiled loop or the seed runner.
+    Returns one ``(numbering, result)`` pair per numbering produced by
+    :func:`port_numberings_to_check`, in its order.  The whole sweep is one
+    superposed batch (:func:`repro.execution.sweep.run_sweep`), so every
+    numbering runs even when an earlier one already failed.  A run that
+    does not halt within ``max_rounds`` comes back with ``halted=False`` and
+    the partial outputs of the nodes that did stop; what that means is the
+    caller's verdict.
     """
     numberings = list(
         port_numberings_to_check(
@@ -131,14 +116,10 @@ def outputs_over_port_numberings(
             seed=seed,
         )
     )
-    results = run_many(
+    results = run_sweep(
         algorithm,
         [(graph, numbering) for numbering in numberings],
         max_rounds=max_rounds,
-        engine=engine,
-        memoize_transitions=True,
+        require_halt=False,
     )
-    return [
-        AdversarialOutcome(numbering=numbering, result=result)
-        for numbering, result in zip(numberings, results)
-    ]
+    return list(zip(numberings, results))

@@ -14,7 +14,7 @@ Checks both halves of the capture theorem on concrete inputs:
   oracle against the compiled one.
 
 The formula side runs on the compiled bitset model checker and the
-executions stream through the batch engine (both via
+executions run as superposed adversarial sweeps (both via
 :mod:`repro.modal.correspondence`); a final row cross-checks the compiled
 checker against the seed reference checker on every encoding the experiment
 touches.

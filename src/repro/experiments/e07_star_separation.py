@@ -11,8 +11,8 @@ from repro.separations.star import star_separation
 
 
 def run() -> ExperimentResult:
-    """Replay the separation; the adversarial sweeps go through the compiled
-    batch engine, in this process."""
+    """Replay the separation; each graph's adversarial numberings run as one
+    superposed sweep, in this process."""
     result = ExperimentResult(
         experiment_id="E7",
         title="Leaf election in stars: in SV(1), not in VB",

@@ -13,8 +13,8 @@ from repro.separations.odd_odd import odd_odd_separation
 
 
 def run() -> ExperimentResult:
-    """Replay the separation; the adversarial sweeps go through the compiled
-    batch engine, in this process."""
+    """Replay the separation; each graph's adversarial numberings run as one
+    superposed sweep, in this process."""
     result = ExperimentResult(
         experiment_id="E8",
         title="Odd number of odd-degree neighbours: in MB(1), not in SB",

@@ -20,8 +20,8 @@ from repro.separations.matchless import matchless_separation
 
 
 def run() -> ExperimentResult:
-    """Replay the separation; the adversarial sweeps go through the compiled
-    batch engine, in this process."""
+    """Replay the separation; each graph's adversarial numberings run as one
+    superposed sweep, in this process."""
     result = ExperimentResult(
         experiment_id="E10",
         title="Symmetry breaking on matchless regular graphs: in VVc(1), not in VV",

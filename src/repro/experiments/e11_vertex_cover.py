@@ -13,8 +13,7 @@ factor of 2; the simpler algorithm here is expected to stay within a factor of
 from __future__ import annotations
 
 from repro.algorithms.vertex_cover import DoubleCoverMatchingVertexCover, cover_from_outputs
-from repro.execution.adversary import port_numberings_to_check
-from repro.execution.runner import run as run_algorithm
+from repro.execution.adversary import outputs_over_port_numberings
 from repro.experiments.report import ExperimentResult
 from repro.graphs.generators import (
     complete_graph,
@@ -49,12 +48,11 @@ def run() -> ExperimentResult:
         optimum = len(minimum_vertex_cover(graph))
         always_cover = True
         worst_size = 0
-        for numbering in port_numberings_to_check(
-            graph, consistent_only=True, exhaustive_limit=50, samples=5
+        for _numbering, outcome in outputs_over_port_numberings(
+            algorithm, graph, consistent_only=True, exhaustive_limit=50, samples=5
         ):
-            outputs = run_algorithm(algorithm, graph, numbering).outputs
-            cover = cover_from_outputs(outputs)
-            always_cover = always_cover and is_vertex_cover(graph, cover)
+            cover = cover_from_outputs(outcome.outputs)
+            always_cover = always_cover and outcome.halted and is_vertex_cover(graph, cover)
             worst_size = max(worst_size, len(cover))
         ratio = worst_size / optimum if optimum else 1.0
         worst_ratio = max(worst_ratio, ratio)

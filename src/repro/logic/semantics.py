@@ -1,30 +1,31 @@
 """The model checker: Kripke semantics for ML, GML, MML and GMML.
 
 The truth definition follows Section 4.1 of the paper.  The public entry
-points (:func:`extension`, :func:`satisfies`, :func:`equivalent_on`) are thin
-wrappers over the compiled bitset engine (:mod:`repro.logic.engine`); the
-original seed checker is preserved as :func:`reference_extension` and serves
-as the differential-testing oracle (mirroring
-:mod:`repro.execution.legacy` on the execution side).  Every wrapper takes an
-``engine="compiled" | "reference"`` knob for differential tests.
+points (:func:`extension`, :func:`satisfies`, :func:`equivalent_on`) answer
+through :func:`repro.logic.engine.check_many`, whose default is the compiled
+bitset engine; the original seed checker is preserved as
+:func:`reference_extension` and serves as the differential-testing oracle
+(mirroring :mod:`repro.execution.legacy` on the execution side).  Every
+wrapper takes an ``engine="compiled" | "vector" | "reference"`` knob for
+differential tests.
 
 The reference checker computes the *extension* ``||phi||_K`` of a formula
 (the set of worlds where it holds) bottom-up over subformulas, memoising
 intermediate extensions, so evaluating a formula of size ``s`` over a model
 with ``n`` worlds and ``m`` relation pairs costs ``O(s * (n + m))``.
 
-A shared ``_cache`` dictionary may be passed to amortise subformula
-extensions across calls *on the same model*.  Caches are owned by the first
-model they are used with: reusing one cache across two different models used
-to silently return the first model's extensions and now raises
-:class:`ValueError`.
+A shared ``_cache`` dictionary may be passed to :func:`reference_extension`
+to amortise subformula extensions across calls *on the same model*.  Caches
+are owned by the first model they are used with: reusing one cache across
+two different models used to silently return the first model's extensions
+and now raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 
-from repro.logic.engine import check_engine, compile_kripke
+from repro.logic.engine import check_engine, check_many
 from repro.logic.kripke import KripkeModel, World
 from repro.logic.syntax import (
     And,
@@ -42,10 +43,6 @@ from repro.logic.syntax import (
 
 #: Cache key under which a shared ``_cache`` records the model it belongs to.
 _CACHE_OWNER = object()
-#: Cache key under which the compiled engine keeps its bitset subformula cache.
-_CACHE_BITS = object()
-#: Cache key under which the vector engine keeps its packed-row cache.
-_CACHE_ROWS = object()
 
 
 def _claim_cache(model: KripkeModel, cache: dict) -> None:
@@ -133,10 +130,7 @@ def reference_extension(
 
 
 def extension(
-    model: KripkeModel,
-    formula: Formula,
-    _cache: dict | None = None,
-    engine: str = "compiled",
+    model: KripkeModel, formula: Formula, engine: str = "compiled"
 ) -> frozenset[World]:
     """The set ``||formula||_model`` of worlds where the formula is true.
 
@@ -146,37 +140,7 @@ def extension(
     :func:`repro.engines.resolve_engine`.
     """
     engine = check_engine(engine, "extension")
-    if engine == "reference":
-        return reference_extension(model, formula, _cache)
-    if engine == "vector":
-        from repro.logic.vector import vector_kripke
-
-        vector = vector_kripke(model)
-        if _cache is None:
-            return vector.extension(formula)
-        _claim_cache(model, _cache)
-        cached = _cache.get(formula)
-        if cached is not None:
-            return cached
-        row_cache = _cache.get(_CACHE_ROWS)
-        if row_cache is None:
-            row_cache = _cache[_CACHE_ROWS] = {}
-        result = vector.extension(formula, row_cache)
-        _cache[formula] = result
-        return result
-    compiled = compile_kripke(model)
-    if _cache is None:
-        return compiled.extension(formula)
-    _claim_cache(model, _cache)
-    cached = _cache.get(formula)
-    if cached is not None:
-        return cached
-    bits_cache = _cache.get(_CACHE_BITS)
-    if bits_cache is None:
-        bits_cache = _cache[_CACHE_BITS] = {}
-    result = compiled.to_worlds(compiled.extension_bits(formula, bits_cache))
-    _cache[formula] = result
-    return result
+    return check_many(model, [formula], engine=engine)[0]
 
 
 def satisfies(
@@ -194,26 +158,10 @@ def equivalent_on(
 ) -> bool:
     """Whether two formulas have the same extension on ``model``.
 
-    Both formulas are evaluated with one shared subformula cache, so common
-    subformulas are checked once (the seed implementation evaluated the two
-    formulas with separate caches).
+    Both formulas are checked in one :func:`~repro.logic.engine.check_many`
+    batch, so common subformulas are evaluated once (the seed implementation
+    evaluated the two formulas with separate caches).
     """
     engine = check_engine(engine, "equivalent_on")
-    if engine == "reference":
-        cache: dict = {}
-        return reference_extension(model, first, cache) == reference_extension(
-            model, second, cache
-        )
-    if engine == "vector":
-        from repro.logic.vector import vector_kripke
-
-        vector = vector_kripke(model)
-        row_cache: dict = {}
-        return vector.extension_bits(first, row_cache) == vector.extension_bits(
-            second, row_cache
-        )
-    compiled = compile_kripke(model)
-    bits_cache: dict[Formula, int] = {}
-    return compiled.extension_bits(first, bits_cache) == compiled.extension_bits(
-        second, bits_cache
-    )
+    first_extension, second_extension = check_many(model, [first, second], engine=engine)
+    return first_extension == second_extension

@@ -6,18 +6,18 @@ module provides the machinery to *check* such correspondences on concrete
 graph families: evaluate a formula in the class's Kripke encoding, run an
 algorithm under the adversarial port numberings, and compare.
 
-Both halves run on the batch engines: the adversarial executions run
-superposed through the sweep engine (:mod:`repro.execution.sweep`, one
-transition evaluation per distinct configuration across all numberings of a
-graph) and the formula side is evaluated by the compiled bitset model
-checker (:mod:`repro.logic.engine`) once per graph, on the disjoint union of
-the *distinct* Kripke encodings its numberings induce
-(:func:`~repro.modal.encoding.kripke_unions`).  The weaker encodings forget
-port information, so many numberings share one copy, and each copy is a
-generated submodel of the union: by bisimulation invariance (Fact 1) the
-union's extension restricted to a copy is the extension in that copy's
-encoding.  The per-instance compiled loop and the seed runner remain
-selectable through ``engine`` as differential oracles.
+Both halves run on the batch engines.  :func:`algorithm_matches_formula`
+takes its executions from the one adversarial sweep
+(:func:`~repro.execution.adversary.outputs_over_port_numberings`, superposed
+through :mod:`repro.execution.sweep`: one transition evaluation per distinct
+configuration across all numberings of a graph).  The formula side is
+evaluated by the compiled bitset model checker (:mod:`repro.logic.engine`)
+once per graph, on the disjoint union of the *distinct* Kripke encodings its
+numberings induce (:func:`~repro.modal.encoding.kripke_unions`).  The weaker
+encodings forget port information, so many numberings share one copy, and
+each copy is a generated submodel of the union: by bisimulation invariance
+(Fact 1) the union's extension restricted to a copy is the extension in that
+copy's encoding.
 
 :func:`machine_roundtrip_report` is the full Theorem 2 pipeline in one call:
 a finite-state machine is compiled to its Table 4/5 formula (a hash-consed
@@ -26,6 +26,9 @@ DAG), the formula is compiled back to a
 machine outputs, formula extensions and recompiled-algorithm outputs are
 cross-checked over every adversarial port numbering of the given graphs --
 optionally against the seed formula-algorithm as a differential oracle.
+It enumerates the numberings itself, because it runs its algorithms on its
+own ``engine`` axis, where the per-instance compiled loop and the seed
+runner stay selectable as differential oracles.
 The oracle runs on every instance, memoized: :func:`roundtrip_algorithms`
 builds the three algorithms once as memoizing fast-path wrappers, so the
 seed loop evaluates each distinct initial state and transition once per
@@ -38,11 +41,14 @@ campaign.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.execution.adversary import port_numberings_to_check
+from repro.execution.adversary import (
+    outputs_over_port_numberings,
+    port_numberings_to_check,
+)
 from repro.engines.registry import logic_engine_for
 from repro.execution.engine import DEFAULT_MAX_ROUNDS, ExecutionError, run_iter
 from repro.graphs.graph import Graph, Node
@@ -102,73 +108,6 @@ def formula_output(
     return formula_outputs(graph, [numbering], formula, problem_class, delta, engine)[0]
 
 
-def _disagreements(
-    algorithm: Algorithm,
-    formula: Formula,
-    problem_class: ProblemClass,
-    graphs: Iterable[Graph],
-    delta: int | None,
-    exhaustive_limit: int,
-    samples: int,
-    max_rounds: int,
-) -> Iterator[tuple[Graph, PortNumbering, dict[Node, int], dict[Node, int]]]:
-    """Lazily yield the inputs on which algorithm and formula disagree.
-
-    Per graph, the adversarial numberings are enumerated once, the
-    executions run superposed through the sweep engine (one transition
-    evaluation per distinct configuration across the numberings) and each
-    result is compared against the formula's labelling for its numbering,
-    all of a graph's labellings coming from one model check
-    (:func:`formula_outputs`).
-
-    The sweep engine materializes a whole graph's sweep up front, so
-    non-halting runs are collected with ``require_halt=False`` and re-raised
-    here *in numbering order*; the labellings are computed when the graph's
-    first halted numbering needs them.  A disagreement on an earlier
-    numbering is therefore still yielded before a later numbering's
-    :class:`ExecutionError`, exactly as the lazy per-instance stream behaved.
-    Raises ``ValueError`` after checking no instance at all, instead of
-    reporting agreement vacuously.
-    """
-    checked = 0
-    for graph in graphs:
-        numberings = list(
-            port_numberings_to_check(
-                graph,
-                consistent_only=problem_class.requires_consistency,
-                exhaustive_limit=exhaustive_limit,
-                samples=samples,
-            )
-        )
-        results = run_iter(
-            algorithm,
-            [(graph, numbering) for numbering in numberings],
-            max_rounds=max_rounds,
-            require_halt=False,
-            engine="sweep",
-        )
-        labellings = None
-        for k, (numbering, result) in enumerate(zip(numberings, results)):
-            if not result.halted:
-                raise ExecutionError(
-                    f"{algorithm.name} did not halt on {graph!r} "
-                    f"within {max_rounds} rounds"
-                )
-            if labellings is None:
-                labellings = formula_outputs(
-                    graph, numberings, formula, problem_class, delta=delta
-                )
-            checked += 1
-            actual = {node: 1 if result.outputs[node] == 1 else 0 for node in graph.nodes}
-            if actual != labellings[k]:
-                yield graph, numbering, labellings[k], actual
-    if not checked:
-        raise ValueError(
-            "no instance to check: the graphs select no (graph, numbering) "
-            "pair, and an empty check would report agreement vacuously"
-        )
-
-
 def algorithm_matches_formula(
     algorithm: Algorithm,
     formula: Formula,
@@ -186,21 +125,51 @@ def algorithm_matches_formula(
     extension of the formula in the matching Kripke encoding.  Outputs other
     than 0/1 are compared against membership: output 1 must coincide with
     truth.
+
+    Per graph, the executions come from one adversarial sweep
+    (:func:`~repro.execution.adversary.outputs_over_port_numberings`) and
+    all labellings from one model check (:func:`formula_outputs`), made
+    when the graph's first halted numbering needs them.  Results are
+    compared in numbering order: a disagreement returns ``False`` and a
+    non-halting run raises :class:`ExecutionError`, whichever comes first.
+    Raises ``ValueError`` after checking no instance at all, instead of
+    reporting agreement vacuously.
     """
-    disagreement = next(
-        _disagreements(
+    checked = 0
+    for graph in graphs:
+        outcomes = outputs_over_port_numberings(
             algorithm,
-            formula,
-            problem_class,
-            graphs,
-            delta,
-            exhaustive_limit,
-            samples,
-            max_rounds,
-        ),
-        None,
-    )
-    return disagreement is None
+            graph,
+            consistent_only=problem_class.requires_consistency,
+            exhaustive_limit=exhaustive_limit,
+            samples=samples,
+            max_rounds=max_rounds,
+        )
+        labellings = None
+        for k, (_numbering, result) in enumerate(outcomes):
+            if not result.halted:
+                raise ExecutionError(
+                    f"{algorithm.name} did not halt on {graph!r} "
+                    f"within {max_rounds} rounds"
+                )
+            if labellings is None:
+                labellings = formula_outputs(
+                    graph,
+                    [numbering for numbering, _result in outcomes],
+                    formula,
+                    problem_class,
+                    delta=delta,
+                )
+            checked += 1
+            actual = {node: 1 if result.outputs[node] == 1 else 0 for node in graph.nodes}
+            if actual != labellings[k]:
+                return False
+    if not checked:
+        raise ValueError(
+            "no instance to check: the graphs select no (graph, numbering) "
+            "pair, and an empty check would report agreement vacuously"
+        )
+    return True
 
 
 # --------------------------------------------------------------------------- #

@@ -6,11 +6,9 @@ is used), the execution halts and its output lies in ``Pi(G)``.  These
 functions check that condition over a supplied, finite collection of graphs --
 exhaustively over port numberings when feasible, by seeded sampling otherwise.
 
-The per-graph sweep over port numberings runs in-process on the compiled
-batch engine (:func:`repro.execution.engine.run_iter`), with transitions
-memoized across the sweep: the graph topology is compiled once and shared by
-every numbering, and the engine streams lazily, so a check stops executing at
-the first counterexample.
+Each graph's numberings run as one superposed sweep through
+:func:`repro.execution.adversary.outputs_over_port_numberings`, and the
+checks here loop over its ``(numbering, result)`` pairs in enumeration order.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import Any
 
-from repro.execution.adversary import port_numberings_to_check
-from repro.execution.engine import run_iter, run_many
+from repro.execution.adversary import outputs_over_port_numberings
+from repro.execution.engine import ExecutionError
 from repro.graphs.graph import Graph, Node
 from repro.graphs.ports import PortNumbering
 from repro.machines.algorithm import Algorithm
@@ -38,26 +36,21 @@ def find_counterexample(
     """The first input on which the algorithm fails, or ``None`` if none is found.
 
     A failure is either non-termination within ``max_rounds`` (the output slot
-    of the returned triple is then ``None``) or an invalid output.
+    of the returned triple is then ``None``) or an invalid output.  Graphs
+    are checked in order and each graph's numberings in enumeration order,
+    so the first failing numbering is the one returned.  The sweep answers a
+    whole graph's numberings at once: on a failing algorithm the rest of
+    that graph's numberings still run (later graphs do not).
     """
     for graph in graphs:
-        numberings = list(
-            port_numberings_to_check(
-                graph,
-                consistent_only=consistent_only,
-                exhaustive_limit=exhaustive_limit,
-                samples=samples,
-            )
-        )
-        results = run_iter(
+        for numbering, result in outputs_over_port_numberings(
             algorithm,
-            [(graph, numbering) for numbering in numberings],
+            graph,
+            consistent_only=consistent_only,
+            exhaustive_limit=exhaustive_limit,
+            samples=samples,
             max_rounds=max_rounds,
-            require_halt=False,
-            memoize_transitions=True,
-        )
-        # run_iter is lazy: the sweep short-circuits at the first failure.
-        for numbering, result in zip(numberings, results):
+        ):
             if not result.halted:
                 return graph, numbering, None
             if not problem.is_solution(graph, result.outputs):
@@ -74,7 +67,11 @@ def solves(
     samples: int = 50,
     max_rounds: int = 10_000,
 ) -> bool:
-    """Whether the algorithm solves the problem on every tested input."""
+    """Whether the algorithm solves the problem on every tested input.
+
+    A :func:`find_counterexample` search: on a failing algorithm the failing
+    graph's remaining numberings still run, since its sweep is one batch.
+    """
     return (
         find_counterexample(
             algorithm,
@@ -97,24 +94,25 @@ def worst_case_running_time(
     samples: int = 50,
     max_rounds: int = 10_000,
 ) -> int:
-    """The maximum number of rounds over all tested inputs (for locality checks)."""
+    """The maximum number of rounds over all tested inputs (for locality checks).
+
+    Raises :class:`~repro.execution.engine.ExecutionError` at the first run,
+    in enumeration order, that does not halt within ``max_rounds``.
+    """
     worst = 0
     for graph in graphs:
-        results = run_many(
+        for _numbering, result in outputs_over_port_numberings(
             algorithm,
-            [
-                (graph, numbering)
-                for numbering in port_numberings_to_check(
-                    graph,
-                    consistent_only=consistent_only,
-                    exhaustive_limit=exhaustive_limit,
-                    samples=samples,
-                )
-            ],
+            graph,
+            consistent_only=consistent_only,
+            exhaustive_limit=exhaustive_limit,
+            samples=samples,
             max_rounds=max_rounds,
-            memoize_transitions=True,
-        )
-        for result in results:
-            if result.rounds > worst:
-                worst = result.rounds
+        ):
+            if not result.halted:
+                raise ExecutionError(
+                    f"{algorithm.name} did not halt on {graph!r} "
+                    f"within {max_rounds} rounds"
+                )
+            worst = max(worst, result.rounds)
     return worst

@@ -15,18 +15,22 @@ import pytest
 
 from repro.algorithms.basic import GatherDegreesAlgorithm, PortEchoAlgorithm
 from repro.algorithms.leaf_election import LeafElectionAlgorithm
-from repro.engines import UnknownEngineError, available_engines
+from repro.engines import available_engines
 from repro.execution.adversary import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     outputs_over_port_numberings,
     port_numberings_to_check,
 )
-from repro.execution.engine import compiled_for
+from repro.execution.engine import ExecutionError, compiled_for, run_many
+from repro.execution.runner import run
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.graphs.ports import count_port_numberings
+from repro.machines.algorithm import MultisetBroadcastAlgorithm, Output, VectorAlgorithm
 from repro.machines.library import reference_machine
 from repro.machines.models import ProblemClass
 from repro.machines.state_machine import algorithm_from_machine
+from repro.problems.base import GraphProblem
+from repro.problems.verification import find_counterexample, worst_case_running_time
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -191,7 +195,7 @@ def _two_round_machine():
 
 
 class TestOutputsOverNumberingsPerEngine:
-    """Every sweep-capable engine gives the default engine's outcomes."""
+    """Every sweep-capable engine's ``run_many`` gives the adversary's outcomes."""
 
     GRAPHS = {"star": star_graph(3), "cycle": cycle_graph(4)}
     ALGORITHMS = {"port-echo": PortEchoAlgorithm, "two-round": _two_round_machine}
@@ -205,19 +209,105 @@ class TestOutputsOverNumberingsPerEngine:
     ):
         graph = self.GRAPHS[graph_name]
         make = self.ALGORITHMS[algorithm_name]
-        expected = outputs_over_port_numberings(make(), graph, consistent_only=consistent_only)
-        outcomes = outputs_over_port_numberings(
-            make(), graph, consistent_only=consistent_only, engine=engine
+        numberings = list(port_numberings_to_check(graph, consistent_only=consistent_only))
+        results = run_many(
+            make(), [(graph, numbering) for numbering in numberings], engine=engine
         )
-        assert len(outcomes) == len(expected) > 1
+        outcomes = outputs_over_port_numberings(make(), graph, consistent_only=consistent_only)
+        assert len(outcomes) == len(numberings) > 1
         assert all(
-            outcome.numbering is reference.numbering
-            for outcome, reference in zip(outcomes, expected)
+            numbering is expected
+            for (numbering, _result), expected in zip(outcomes, numberings)
         )
-        assert [
-            (o.result.outputs, o.result.rounds, o.result.halted) for o in outcomes
-        ] == [(o.result.outputs, o.result.rounds, o.result.halted) for o in expected]
+        assert [(r.outputs, r.rounds, r.halted) for _numbering, r in outcomes] == [
+            (r.outputs, r.rounds, r.halted) for r in results
+        ]
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(UnknownEngineError, match="unknown engine 'warp'"):
-            outputs_over_port_numberings(PortEchoAlgorithm(), star_graph(3), engine="warp")
+    def test_there_is_no_engine_knob(self):
+        with pytest.raises(TypeError, match="engine"):
+            outputs_over_port_numberings(PortEchoAlgorithm(), star_graph(3), engine="sweep")
+
+
+class Forever(MultisetBroadcastAlgorithm):
+    """Counts rounds and never stops."""
+
+    def initial_state(self, degree):
+        return 0
+
+    def broadcast(self, state):
+        return "m"
+
+    def transition(self, state, received):
+        return state + 1
+
+
+class HaltsOnPortOne(VectorAlgorithm):
+    """Stops once it hears port 1 on its input port 1; otherwise waits forever."""
+
+    def initial_state(self, degree):
+        return "start"
+
+    def send(self, state, port):
+        return port if state == "start" else 0
+
+    def transition(self, state, received):
+        if state == "start" and received[:1] == (1,):
+            return Output(received)
+        return "waiting"
+
+
+class TestNonHaltingRuns:
+    """A run that exceeds ``max_rounds`` is an outcome, not an exception."""
+
+    def test_a_non_halting_algorithm_comes_back_unhalted(self):
+        graph = path_graph(3)
+        outcomes = outputs_over_port_numberings(Forever(), graph, max_rounds=5)
+        assert len(outcomes) == 4
+        for _numbering, result in outcomes:
+            assert not result.halted
+            assert result.rounds == 5 and result.outputs == {}
+            assert result.states == {node: 5 for node in graph.nodes}
+
+    def test_halting_follows_the_numbering_as_in_single_runs(self):
+        graph = cycle_graph(3)
+        outcomes = outputs_over_port_numberings(HaltsOnPortOne(), graph, max_rounds=4)
+        expected = [
+            run(HaltsOnPortOne(), graph, numbering, max_rounds=4, require_halt=False)
+            for numbering in port_numberings_to_check(graph)
+        ]
+        assert [(r.outputs, r.rounds, r.halted, r.states) for _n, r in outcomes] == [
+            (r.outputs, r.rounds, r.halted, r.states) for r in expected
+        ]
+        assert {result.halted for _numbering, result in outcomes} == {True, False}
+
+
+class EndpointHearsPortOne(GraphProblem):
+    """Node 0 must receive port number 1 on its first input port."""
+
+    def is_solution(self, graph, assignment):
+        return assignment[0][0] == 1
+
+
+class TestVerificationLoops:
+    """The checks of :mod:`repro.problems.verification` over the adversary."""
+
+    def test_worst_case_running_time_raises_on_a_non_halting_run(self):
+        with pytest.raises(ExecutionError, match="did not halt on .* within 5 rounds"):
+            worst_case_running_time(Forever(), [path_graph(3)], max_rounds=5)
+
+    def test_find_counterexample_returns_the_first_failing_numbering(self):
+        graphs = [star_graph(3), path_graph(3)]
+        problem = EndpointHearsPortOne()
+        expected = next(
+            (graph, numbering, outputs)
+            for graph in graphs
+            for numbering in port_numberings_to_check(graph)
+            for outputs in [run(PortEchoAlgorithm(), graph, numbering).outputs]
+            if not problem.is_solution(graph, outputs)
+        )
+        found = find_counterexample(PortEchoAlgorithm(), problem, graphs)
+        assert found is not None
+        assert found[0] is expected[0] and found[1] is expected[1]
+        assert found[2] == expected[2]
+        numberings = list(port_numberings_to_check(graphs[1]))
+        assert numberings.index(found[1]) == 2

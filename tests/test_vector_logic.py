@@ -19,12 +19,7 @@ from test_logic_engine import formula_indices, random_formula, random_model  # n
 
 from repro.logic.engine import check_many, check_sweep, compile_kripke  # noqa: E402
 from repro.logic.kripke import KripkeModel  # noqa: E402
-from repro.logic.semantics import (  # noqa: E402
-    equivalent_on,
-    extension,
-    reference_extension,
-    satisfies,
-)
+from repro.logic.semantics import equivalent_on, extension, satisfies  # noqa: E402
 from repro.logic.syntax import (  # noqa: E402
     And,
     Bottom,
@@ -100,22 +95,6 @@ class TestRandomModelsDifferential:
             assert satisfies(model, world, first, engine="vector") == satisfies(
                 model, world, first
             )
-
-    def test_shared_cache_amortises_and_stays_correct(self):
-        model = random_model(3)
-        rng = random.Random(17)
-        indices = formula_indices(model)
-        formula = random_formula(rng, 5, indices)
-        cache: dict = {}
-        first = extension(model, formula, _cache=cache, engine="vector")
-        second = extension(model, formula, _cache=cache, engine="vector")
-        assert first == second == reference_extension(model, formula)
-
-    def test_cache_rejects_foreign_model(self):
-        cache: dict = {}
-        extension(random_model(1), Prop("p"), _cache=cache, engine="vector")
-        with pytest.raises(ValueError, match="different model"):
-            extension(random_model(2), Prop("p"), _cache=cache, engine="vector")
 
 
 class TestWordBoundaryAndEdgeCases:
